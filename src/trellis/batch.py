@@ -1,22 +1,72 @@
-"""Trial-vectorized inference kernels for Monte Carlo runs.
+"""The chain recursions, each written once for a block of trials.
 
-Every function here takes a (B, n, M) likelihood block sharing one
-transition matrix and replicates the scalar recursions in hmc/vb
-trial-by-trial, with the same update order and tie rules. Labels are
-0-based here; the experiment layer converts at its edges. The scalar
-modules stay the reference: equivalence is pinned by tests.
+Every function takes a (B, n, M) likelihood block whose trials share
+one transition matrix: forward_backward over a ring-sum, the min-sum
+viterbi_trace, and the mean-field marginal_sweep and point_mass_sweep.
+The scalar API in hmc and vb runs them with B=1. Labels are 0-based
+and ties resolve to the smallest index. A trial gets the same bits
+alone or in a block, except from a BLAS matrix product, which may
+round a row differently with a different number of rows: in the
+sum-product pass and in the marginal sweep at xi >= KS_RESOLUTION.
 """
 
 import numpy as np
 
 from .numerics import safe_log
 
+# Float sweeps can wander forever in the last bit of a pmf entry, which
+# would keep the xi=0 stopping rule from ever firing. Movement at or
+# below this KS resolution counts as none, and at xi=0 it leaves the
+# stored pmf untouched, so a reached fixed point stays bit-exact.
+KS_RESOLUTION = 1e-13
 
-def _norm(v):
-    z = v.sum(axis=-1, keepdims=True)
-    if np.any(z <= 0.0):
-        raise FloatingPointError("zero normalizer in batch recursion")
-    return v / z
+
+class DegenerateObservation(ValueError, FloatingPointError):
+    """A normalizer collapsed to zero; `trial` is the first such trial."""
+
+    def __init__(self, trial, what="zero normalizer in recursion"):
+        super().__init__(trial, what)
+        self.trial = trial
+
+    def __str__(self):
+        return "trial %d: %s" % self.args
+
+
+def forward_backward(T, p0, Psi, ring_sum=np.add, keep_beta=False):
+    """Normalized forward rows, backward rows and their normalized products.
+
+    With np.add: filtering rows alpha and smoothing marginals gamma;
+    with np.maximum, gamma holds the max-product profiles. Returns
+    (alpha, beta, gamma); gamma takes over beta's storage unless
+    keep_beta.
+    """
+    B, n, M = Psi.shape
+    if ring_sum is np.add:
+        contract = np.matmul  # the sum-product step is a matrix product
+    else:
+        def contract(v, A):
+            return ring_sum.reduce(v[:, :, None] * A, axis=1)
+    alpha = np.empty((B, n, M))
+    beta = np.empty((B, n, M))
+    # A zero normalizer turns its trial's rows into NaN, which the
+    # recursion carries on; the trials are checked once at the end.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = Psi[:, 0] * p0
+        np.divide(a, np.add.reduce(a, axis=1, keepdims=True), out=alpha[:, 0])
+        for i in range(1, n):
+            a = contract(alpha[:, i - 1], T.T)
+            a *= Psi[:, i]
+            np.divide(a, np.add.reduce(a, axis=1, keepdims=True), out=alpha[:, i])
+        beta[:, n - 1] = 1.0 / M
+        for i in range(n - 2, -1, -1):
+            b = contract(Psi[:, i + 1] * beta[:, i + 1], T)
+            np.divide(b, np.add.reduce(b, axis=1, keepdims=True), out=beta[:, i])
+        gamma = alpha * beta if keep_beta else np.multiply(alpha, beta, out=beta)
+        gamma /= np.add.reduce(gamma, axis=2, keepdims=True)
+    bad = np.flatnonzero(np.isnan(np.add.reduce(gamma[:, :, 0], axis=1)))
+    if bad.size:
+        raise DegenerateObservation(int(bad[0]))
+    return alpha, (beta if keep_beta else None), gamma
 
 
 def batch_fb(T, p0, Psi):
@@ -25,37 +75,38 @@ def batch_fb(T, p0, Psi):
     Returns (alpha, gamma, labels); alpha is kept because the
     divergence computation reuses it.
     """
-    B, n, M = Psi.shape
-    alpha = np.empty((B, n, M))
-    alpha[:, 0] = _norm(Psi[:, 0] * p0[None, :])
-    for i in range(1, n):
-        alpha[:, i] = _norm(Psi[:, i] * (alpha[:, i - 1] @ T.T))
-    beta = np.full((B, M), 1.0 / M)
-    gamma = np.empty((B, n, M))
-    gamma[:, n - 1] = _norm(alpha[:, n - 1] * beta)
-    for i in range(n - 2, -1, -1):
-        beta = _norm((Psi[:, i + 1] * beta) @ T)
-        gamma[:, i] = _norm(alpha[:, i] * beta)
+    alpha, _, gamma = forward_backward(T, p0, Psi)
     return alpha, gamma, np.argmax(gamma, axis=2)
+
+
+def viterbi_trace(logT, logp0, logPsi):
+    """Min-sum Viterbi: (labels, final metrics, back-pointers).
+
+    Each step shifts the metrics to a minimum of 0, which changes no
+    argmin.
+    """
+    B, n, M = logPsi.shape
+    lam = -(logPsi[:, 0] + logp0)
+    kappa = np.zeros((B, n, M), dtype=np.int32)
+    base = np.arange(0, B * M * M, M).reshape(B, M)
+    for i in range(1, n):
+        tot = lam[:, None, :] - logT
+        am = tot.argmin(axis=2)
+        kappa[:, i] = am
+        lam = tot.take(base + am)
+        lam -= logPsi[:, i]
+        lam -= np.minimum.reduce(lam, axis=1, keepdims=True)
+    labels = np.empty((B, n), dtype=np.int64)
+    labels[:, n - 1] = lam.argmin(axis=1)
+    rows = np.arange(B)
+    for i in range(n - 1, 0, -1):
+        labels[:, i - 1] = kappa[rows, i, labels[:, i]]
+    return labels, lam, kappa
 
 
 def batch_viterbi(logT, logp0, logPsi):
     """Joint-MAP labels for every trial (min-metric form, smallest-index ties)."""
-    B, n, M = logPsi.shape
-    lam = -(logPsi[:, 0] + logp0[None, :])
-    kappa = np.empty((B, n, M), dtype=np.int32)
-    for i in range(1, n):
-        tot = lam[:, None, :] - logT[None, :, :]
-        am = np.argmin(tot, axis=2)
-        kappa[:, i] = am
-        lam = np.take_along_axis(tot, am[:, :, None], axis=2)[:, :, 0] - logPsi[:, i]
-        lam -= lam.min(axis=1, keepdims=True)  # shift only; argmins unchanged
-    labels = np.empty((B, n), dtype=np.int64)
-    labels[:, n - 1] = np.argmin(lam, axis=1)
-    rows = np.arange(B)
-    for i in range(n - 1, 0, -1):
-        labels[:, i - 1] = kappa[rows, i, labels[:, i]]
-    return labels
+    return viterbi_trace(logT, logp0, logPsi)[0]
 
 
 def batch_ml(Psi):
@@ -81,109 +132,194 @@ def batch_kld(T, alpha, p):
     return out
 
 
-def batch_ivb(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False):
-    """Mean-field marginal sweeps across all trials at once.
+class _Sweep:
+    """Schedule and counters of the mean-field sweeps.
 
-    Returns (p, nu_c, nu_e, converged). Trials leave the active set as
-    they converge, freezing their rows, so results match per-trial
-    scalar runs.
+    A finished trial keeps its rows, masked out of later updates. tau
+    is laid out (n + 2, B), padded by one step at both ends.
+    """
+
+    def __init__(self, B, n, max_cycles, accelerated):
+        self.n = n
+        self.max_cycles = max_cycles
+        self.accelerated = accelerated
+        self.active = np.ones(B, dtype=bool)
+        self.tau = np.ones((n + 2, B), dtype=bool)
+        self.ran = np.zeros((n, B), dtype=bool)
+        self.updates = np.zeros(B, dtype=np.int64)
+        self.nu_c = np.full(B, max_cycles, dtype=np.int64)
+        self.converged = np.zeros(B, dtype=bool)
+        self.plain = slice(None), None
+
+    @staticmethod
+    def _rows(t):
+        """(rows, mask) covering the trials t: a lone trial gets a one-row
+        slice, so that its step costs and rounds as a B=1 step does."""
+        c = np.count_nonzero(t)
+        if c == 0:
+            return None
+        if c == len(t):
+            return slice(None), None
+        if c == 1:
+            j = int(t.argmax())
+            return slice(j, j + 1), None
+        return slice(None), t
+
+    def due(self, i):
+        """The trials that update step i, as _rows gives them."""
+        if not self.accelerated:
+            return self.plain
+        t = self.tau[i + 1]
+        self.ran[i] = t
+        return self._rows(t)
+
+    def schedule(self, i, rows, hot):
+        """A hot step wakes both neighbours, a quiet one goes to sleep."""
+        self.tau[i + 1, rows] = hot
+        if np.count_nonzero(hot):
+            self.tau[i:i + 3:2, rows] |= hot
+
+    def retire(self, nu, done):
+        """Close cycle nu; False once no trial is left to run. done: the
+        trials a plain sweep saw converge; the accelerated schedule
+        passes None and is done where no step is left."""
+        if self.accelerated:
+            self.updates += np.add.reduce(self.ran, axis=0)
+            done = ~self.tau[1:-1].any(axis=0)
+        else:
+            self.updates[self.active] += self.n
+        done &= self.active
+        self.nu_c[done] = nu
+        self.converged[done] = True
+        self.active &= ~done
+        self.plain = self._rows(self.active)
+        return nu < self.max_cycles and self.plain is not None
+
+    def results(self):
+        return self.nu_c, self.updates / self.n, self.converged, self.tau[1:-1].T
+
+
+def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
+                   track_kld=False):
+    """Mean-field marginal updates, plain or accelerated.
+
+    A plain sweep stops after the first cycle in which no pmf moved more
+    than xi in KS distance; the accelerated one when no step is left.
+    Returns (p, nu_c, nu_e, converged, tau, kld); with track_kld, kld[b]
+    lists trial b's divergence after each cycle.
     """
     B, n, M = Psi.shape
-    logPsi = safe_log(Psi)
-    logT = safe_log(T)
-    logp0 = safe_log(p0)
-    p = np.array(init, dtype=float)
-    if p.shape != (B, n, M):
+    init = np.asarray(init, dtype=float)
+    if init.shape != (B, n, M):
         raise ValueError("init must be B x n x M")
-    tau = np.ones((B, n), dtype=bool)
-    active = np.ones(B, dtype=bool)
-    updates = np.zeros(B, dtype=np.int64)
-    nu_c = np.full(B, max_cycles, dtype=np.int64)
-    converged = np.zeros(B, dtype=bool)
+    sweep = _Sweep(B, n, max_cycles, accelerated)
+    logT = safe_log(T)
+    # xi below the resolution asks for an exact fixed point, with the
+    # same bits alone or in a block: moves within the resolution are not
+    # stored, and products are per-row dots. Coarser thresholds store
+    # every update and keep the BLAS product the experiment outputs
+    # were recorded with.
+    exact = xi < KS_RESOLUTION
+    if exact:
+        def contract(v, A):
+            return np.einsum("bk,kj->bj", v, A)
+    else:
+        contract = np.matmul
+    lp = safe_log(Psi)
+    lp[:, 0] += safe_log(p0)
+    p = np.array(init)
+    if track_kld:
+        alpha = forward_backward(T, p0, Psi)[0]
+        kld = [[] for _ in range(B)]
+    thr = max(xi, KS_RESOLUTION)
     for nu in range(1, max_cycles + 1):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
         worst = np.zeros(B)
         for i in range(n):
-            rows = act[tau[act, i]] if accelerated else act
-            if rows.size == 0:
+            step = sweep.due(i)
+            if step is None:
                 continue
-            s = logPsi[rows, i] + (p[rows, i - 1] @ logT.T if i > 0 else logp0[None, :])
+            r, t = step
+            s = lp[r, i] + contract(p[r, i - 1], logT.T) if i else lp[r, 0].copy()
             if i + 1 < n:
-                s = s + p[rows, i + 1] @ logT
-            s -= s.max(axis=1, keepdims=True)
-            new = np.exp(s)
-            new /= new.sum(axis=1, keepdims=True)
-            ks = np.max(np.abs(np.cumsum(new, axis=1) - np.cumsum(p[rows, i], axis=1)), axis=1)
-            p[rows, i] = new
-            updates[rows] += 1
-            if accelerated:
-                hot = rows[ks > xi]
-                if i > 0:
-                    tau[hot, i - 1] = True
-                if i + 1 < n:
-                    tau[hot, i + 1] = True
-                tau[rows[ks <= xi], i] = False
+                s += contract(p[r, i + 1], logT)
+            s -= np.maximum.reduce(s, axis=1, keepdims=True)
+            np.exp(s, out=s)
+            s /= np.add.reduce(s, axis=1, keepdims=True)
+            ks = np.maximum.reduce(np.abs(np.add.accumulate(s, axis=1)
+                                          - np.add.accumulate(p[r, i], axis=1)),
+                                   axis=1)
+            store = ks > KS_RESOLUTION if exact else t
+            if exact and t is not None:
+                store &= t
+            if store is None:
+                p[r, i] = s
             else:
-                np.maximum.at(worst, rows, ks)
-        done = active & (~tau.any(axis=1) if accelerated else (worst <= xi))
-        nu_c[done] = nu
-        converged[done] = True
-        active &= ~done
-    return p, nu_c, updates / n, converged
+                np.copyto(p[r, i], s, where=store[:, None])
+            if accelerated:
+                sweep.schedule(i, r, ks > thr if t is None else t & (ks > thr))
+            else:
+                np.maximum(worst[r], ks, out=worst[r])
+        if track_kld:
+            for b in sweep.active.nonzero()[0]:
+                kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
+        if not sweep.retire(nu, None if accelerated else worst <= thr):
+            break
+    return (p,) + sweep.results() + (kld if track_kld else None,)
+
+
+def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False):
+    """Point-mass mean-field updates, plain or accelerated.
+
+    A plain sweep stops after the first change-free cycle, which nu_c
+    counts. Returns (labels, nu_c, nu_e, converged, tau).
+    """
+    B, n, M = Psi.shape
+    k = np.asarray(init_labels, dtype=np.int64)
+    if k.shape != (B, n):
+        raise ValueError("init_labels must be B x n")
+    lp = safe_log(Psi)  # first, to reuse a block of its size just freed
+    sweep = _Sweep(B, n, max_cycles, accelerated)
+    logT = safe_log(T)
+    # Label M stands for the chain's ends: as the previous label it
+    # selects the start prior, as the next label a zero row.
+    nxt = np.zeros((M + 1, M))
+    nxt[:M] = logT
+    prv = np.empty((M + 1, M))
+    prv[:M] = logT.T
+    prv[M] = safe_log(p0)
+    K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
+    K[1:-1] = k.T
+    for nu in range(1, max_cycles + 1):
+        before = K.copy()
+        for i in range(n):
+            step = sweep.due(i)
+            if step is None:
+                continue
+            r, t = step
+            s = nxt[K[i + 2, r]] + prv[K[i, r]]
+            s += lp[r, i]
+            if t is None and not accelerated:
+                s.argmax(axis=1, out=K[i + 1, r])
+                continue
+            new = s.argmax(axis=1)
+            moved = new != K[i + 1, r]
+            if t is None:
+                K[i + 1, r] = new
+            else:
+                moved &= t
+                np.copyto(K[i + 1, r], new, where=moved)
+            if accelerated:
+                sweep.schedule(i, r, moved)
+        if not sweep.retire(nu, None if accelerated else (K == before).all(axis=0)):
+            break
+    return (K[1:-1].T.copy(),) + sweep.results()
+
+
+def batch_ivb(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False):
+    """Mean-field marginal sweeps: (p, nu_c, nu_e, converged)."""
+    return marginal_sweep(T, p0, Psi, init, xi, max_cycles, accelerated)[:4]
 
 
 def batch_fcvb(T, p0, Psi, init_labels, max_cycles=100, accelerated=False):
-    """Point-mass mean-field sweeps across all trials at once.
-
-    init_labels is (B, n), 0-based. Returns (labels, nu_c, nu_e,
-    converged); plain mode counts the confirming change-free cycle.
-    """
-    B, n, M = Psi.shape
-    logPsi = safe_log(Psi)
-    logT = safe_log(T)
-    logp0 = safe_log(p0)
-    k = np.array(init_labels, dtype=np.int64)
-    if k.shape != (B, n):
-        raise ValueError("init_labels must be B x n")
-    tau = np.ones((B, n), dtype=bool)
-    active = np.ones(B, dtype=bool)
-    updates = np.zeros(B, dtype=np.int64)
-    nu_c = np.full(B, max_cycles, dtype=np.int64)
-    converged = np.zeros(B, dtype=bool)
-    for nu in range(1, max_cycles + 1):
-        act = np.flatnonzero(active)
-        if act.size == 0:
-            break
-        changed_any = np.zeros(B, dtype=bool)
-        for i in range(n):
-            rows = act[tau[act, i]] if accelerated else act
-            if rows.size == 0:
-                continue
-            s = logPsi[rows, i].copy()
-            if n == 1:
-                s += logp0[None, :]
-            elif i == 0:
-                s += logT[k[rows, 1]] + logp0[None, :]
-            elif i == n - 1:
-                s += logT.T[k[rows, i - 1]]
-            else:
-                s += logT[k[rows, i + 1]] + logT.T[k[rows, i - 1]]
-            new = np.argmax(s, axis=1)
-            moved = new != k[rows, i]
-            k[rows, i] = new
-            updates[rows] += 1
-            hot = rows[moved]
-            changed_any[hot] = True
-            if accelerated:
-                if i > 0:
-                    tau[hot, i - 1] = True
-                if i + 1 < n:
-                    tau[hot, i + 1] = True
-                tau[rows[~moved], i] = False
-        done = active & (~tau.any(axis=1) if accelerated else ~changed_any)
-        nu_c[done] = nu
-        converged[done] = True
-        active &= ~done
-    return k, nu_c, updates / n, converged
+    """Point-mass mean-field sweeps: (labels, nu_c, nu_e, converged)."""
+    return point_mass_sweep(T, p0, Psi, init_labels, max_cycles, accelerated)[:4]

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-__version__ = "0.1.0"
+from . import __version__
 
 
 class _ConfigError(Exception):

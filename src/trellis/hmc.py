@@ -5,19 +5,18 @@ distribution given current state k. Labels are 1-based at the public
 API; everything internal is 0-based. Ties in any argmax/argmin resolve
 to the smallest index, uniformly (including the brute-force oracles),
 so label comparisons can be exact.
+The recursions run in trellis.batch; the posterior's chain factors
+and its enumeration are independent references for them.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .numerics import LOG0, safe_log
+from .batch import DegenerateObservation, forward_backward, viterbi_trace
+from .numerics import safe_log
 
 BRUTE_GUARD = 10 ** 6
-
-
-class DegenerateObservation(ValueError):
-    """A recursion normalizer collapsed to zero."""
 
 
 class HmcModel:
@@ -53,50 +52,17 @@ ProfileResult = namedtuple("ProfileResult", ["profiles", "labels"])
 PosteriorChainFactors = namedtuple("PosteriorChainFactors", ["A", "B"])
 
 
-def _norm_rows(v):
-    z = v.sum()
-    if z <= 0.0:
-        raise DegenerateObservation("zero normalizer in recursion")
-    return v / z
-
-
 def fb_algorithm(model):
     """Filtering, backward and smoothing statistics plus marginal-MAP labels."""
-    T, p, Psi = model.T, model.p, model.Psi
-    n, M = model.n, model.M
-    alpha = np.empty((n, M))
-    alpha[0] = _norm_rows(Psi[0] * p)
-    for i in range(1, n):
-        alpha[i] = _norm_rows(Psi[i] * (T @ alpha[i - 1]))
-    beta = np.empty((n, M))
-    beta[n - 1] = np.full(M, 1.0 / M)
-    for i in range(n - 2, -1, -1):
-        beta[i] = _norm_rows(T.T @ (Psi[i + 1] * beta[i + 1]))
-    gamma = np.empty((n, M))
-    for i in range(n):
-        gamma[i] = _norm_rows(beta[i] * alpha[i])
-    labels = np.argmax(gamma, axis=1) + 1
-    return SmoothingResult(alpha, beta, gamma, labels)
+    alpha, beta, gamma = forward_backward(model.T, model.p, model.Psi[None], keep_beta=True)
+    return SmoothingResult(alpha[0], beta[0], gamma[0], np.argmax(gamma[0], axis=1) + 1)
 
 
 def viterbi(model):
-    """Joint-MAP trajectory via the log-domain min-recursion plus back-tracking."""
-    n, M = model.n, model.M
-    logPsi = safe_log(model.Psi)
-    logT = safe_log(model.T)
-    lam = np.empty((n, M))
-    kappa = np.ones((n, M), dtype=int)
-    lam[0] = -(logPsi[0] + safe_log(model.p))
-    for i in range(1, n):
-        # metric(j,k) = -(log Psi_{j,i} + log T(j,k)) + lam_{k,i-1}
-        tot = lam[i - 1][None, :] - logT
-        kappa[i] = np.argmin(tot, axis=1) + 1
-        lam[i] = tot[np.arange(M), kappa[i] - 1] - logPsi[i]
-    labels = np.empty(n, dtype=int)
-    labels[n - 1] = np.argmin(lam[n - 1]) + 1
-    for i in range(n - 1, 0, -1):
-        labels[i - 1] = kappa[i, labels[i] - 1]
-    return ViterbiTrace(lam, kappa, labels)
+    """Joint-MAP trajectory; lam holds the final (shifted) path metrics."""
+    labels, lam, kappa = viterbi_trace(
+        safe_log(model.T), safe_log(model.p), safe_log(model.Psi)[None])
+    return ViterbiTrace(lam[0], kappa[0] + 1, labels[0] + 1)
 
 
 def bidirectional_viterbi(model):
@@ -106,21 +72,8 @@ def bidirectional_viterbi(model):
     posterior over all labels except l_i; its argmax sequence matches
     the back-tracked joint MAP.
     """
-    T, p, Psi = model.T, model.p, model.Psi
-    n, M = model.n, model.M
-    fwd = np.empty((n, M))
-    fwd[0] = _norm_rows(Psi[0] * p)
-    for i in range(1, n):
-        fwd[i] = _norm_rows(Psi[i] * np.max(T * fwd[i - 1][None, :], axis=1))
-    bwd = np.empty((n, M))
-    bwd[n - 1] = np.full(M, 1.0 / M)
-    for i in range(n - 2, -1, -1):
-        bwd[i] = _norm_rows(np.max((Psi[i + 1] * bwd[i + 1])[:, None] * T, axis=0))
-    profiles = np.empty((n, M))
-    for i in range(n):
-        profiles[i] = _norm_rows(fwd[i] * bwd[i])
-    labels = np.argmax(profiles, axis=1) + 1
-    return ProfileResult(profiles, labels)
+    _, _, profiles = forward_backward(model.T, model.p, model.Psi[None], ring_sum=np.maximum)
+    return ProfileResult(profiles[0], np.argmax(profiles[0], axis=1) + 1)
 
 
 def ml_detect(Psi):
@@ -162,7 +115,7 @@ class BruteForcePosterior:
             w = w * f.reshape((1,) * (i - 1) + (M, M) + (1,) * (n - 1 - i))
         z = w.sum()
         if z <= 0:
-            raise DegenerateObservation("joint posterior has zero mass")
+            raise DegenerateObservation(0, "joint posterior has zero mass")
         self.table = w / z
         self.n = n
         self.M = M

@@ -6,13 +6,15 @@ constrained point-mass variant (fcvb_run, hard labels per time step).
 Both sweep i = 1..n repeatedly, support an accelerated scheduler that
 skips steps whose neighbourhood did not move, and report cycle counts:
 nu_c counts full sweeps, nu_e is total single-step updates divided by n.
+The sweeps run in trellis.batch; kld_vb, from the posterior's chain
+factors, is the reference for the batch divergence.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .hmc import fb_algorithm, posterior_chain_factors
+from .batch import marginal_sweep, point_mass_sweep
 from .numerics import safe_log
 
 
@@ -30,9 +32,7 @@ class StoppingConfig:
 VbResult = namedtuple(
     "VbResult", ["p", "labels", "nu_c", "nu_e", "converged", "tau", "kld_trace"]
 )
-FcvbResult = namedtuple(
-    "FcvbResult", ["labels", "nu_c", "nu_e", "converged", "tau", "theta_precomputed"]
-)
+FcvbResult = namedtuple("FcvbResult", ["labels", "nu_c", "nu_e", "converged", "tau"])
 
 
 def ks_distance(p, q):
@@ -56,19 +56,6 @@ def init_shaping(mode, Psi):
             raise ValueError("ml shaping needs a positive mass in every row")
         return Psi / z
     raise ValueError("unknown init mode %r" % (mode,))
-
-
-def _softmax(s):
-    s = s - s.max()
-    e = np.exp(s)
-    return e / e.sum()
-
-
-# Float sweeps can wander forever in the last bit of a pmf entry, which
-# would keep the xi=0 stopping rule from ever firing. Movement at or
-# below this KS resolution counts as none and leaves the stored pmf
-# untouched, so a reached fixed point stays bit-exact.
-KS_RESOLUTION = 1e-13
 
 
 def kld_vb(model, smoothing, chain, p):
@@ -95,68 +82,21 @@ def ivb_run(model, init, cfg=None, track_kld=False):
 
     init is an n x M array of starting pmfs (see init_shaping). With
     track_kld, one divergence value is recorded after every completed
-    cycle (this runs the exact smoother once up front).
+    cycle (this runs the exact forward pass once up front).
     """
     if cfg is None:
         cfg = StoppingConfig()
     n, M = model.n, model.M
-    p = np.array(init, dtype=float)
+    p = np.asarray(init, dtype=float)
     if p.shape != (n, M):
         raise ValueError("init must be n x M")
     if np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("init rows must be simplex vectors")
-    logPsi = safe_log(model.Psi)
-    logT = safe_log(model.T)
-    logp0 = safe_log(model.p)
-
-    smoothing = chain = None
-    kld_trace = [] if track_kld else None
-    if track_kld:
-        smoothing = fb_algorithm(model)
-        chain = posterior_chain_factors(model, smoothing)
-
-    tau = np.ones(n, dtype=bool)
-    total_updates = 0
-    nu_c = cfg.max_cycles
-    converged = False
-    for nu in range(1, cfg.max_cycles + 1):
-        worst = 0.0
-        for i in range(n):
-            if cfg.accelerated and not tau[i]:
-                continue
-            s = logPsi[i].copy()
-            if i + 1 < n:
-                s += logT.T @ p[i + 1]
-            if i == 0:
-                s += logp0
-            else:
-                s += logT @ p[i - 1]
-            new = _softmax(s)
-            ks = ks_distance(new, p[i])
-            if ks <= KS_RESOLUTION:
-                ks = 0.0
-            else:
-                p[i] = new
-            total_updates += 1
-            if cfg.accelerated:
-                if ks > cfg.xi:
-                    if i > 0:
-                        tau[i - 1] = True
-                    if i + 1 < n:
-                        tau[i + 1] = True
-                else:
-                    tau[i] = False
-            elif ks > worst:
-                worst = ks
-        if track_kld:
-            kld_trace.append(kld_vb(model, smoothing, chain, p))
-        done = (not tau.any()) if cfg.accelerated else (worst <= cfg.xi)
-        if done:
-            nu_c = nu
-            converged = True
-            break
-    labels = np.argmax(p, axis=1) + 1
-    return VbResult(p, labels, nu_c, total_updates / n, converged, tau, kld_trace)
+    p, nu_c, nu_e, converged, tau, kld = marginal_sweep(
+        model.T, model.p, model.Psi[None], p[None], cfg.xi, cfg.max_cycles,
+        cfg.accelerated, track_kld)
+    return VbResult(p[0], np.argmax(p[0], axis=1) + 1, int(nu_c[0]), float(nu_e[0]),
+                    bool(converged[0]), tau[0], kld[0] if track_kld else None)
 
 
 def fcvb_run(model, init_labels, cfg=None):
@@ -174,53 +114,6 @@ def fcvb_run(model, init_labels, cfg=None):
         raise ValueError("init_labels must have length n")
     if np.any(k < 0) or np.any(k >= M):
         raise ValueError("init labels out of range")
-    k = k.copy()
-    logPsi = safe_log(model.Psi)
-    logT = safe_log(model.T)
-    logp0 = safe_log(model.p)
-    # pairwise score of state k between fixed neighbours a (next), b (prev)
-    precompute = M ** 3 <= n * M
-    theta = None
-    if precompute:
-        theta = logT.T[:, :, None] + logT[:, None, :]  # [k, a, b]
-
-    tau = np.ones(n, dtype=bool)
-    total_updates = 0
-    nu_c = cfg.max_cycles
-    converged = False
-    for nu in range(1, cfg.max_cycles + 1):
-        changed_any = False
-        for i in range(n):
-            if cfg.accelerated and not tau[i]:
-                continue
-            s = logPsi[i].copy()
-            if n == 1:
-                s += logp0
-            elif i == 0:
-                s += logT[k[1]] + logp0
-            elif i == n - 1:
-                s += logT[:, k[i - 1]]
-            elif precompute:
-                s += theta[:, k[i + 1], k[i - 1]]
-            else:
-                s += logT[k[i + 1]] + logT[:, k[i - 1]]
-            new = int(np.argmax(s))
-            total_updates += 1
-            moved = new != k[i]
-            if moved:
-                k[i] = new
-                changed_any = True
-            if cfg.accelerated:
-                if moved:
-                    if i > 0:
-                        tau[i - 1] = True
-                    if i + 1 < n:
-                        tau[i + 1] = True
-                else:
-                    tau[i] = False
-        done = (not tau.any()) if cfg.accelerated else (not changed_any)
-        if done:
-            nu_c = nu
-            converged = True
-            break
-    return FcvbResult(k + 1, nu_c, total_updates / n, converged, tau, precompute)
+    labels, nu_c, nu_e, converged, tau = point_mass_sweep(
+        model.T, model.p, model.Psi[None], k[None], cfg.max_cycles, cfg.accelerated)
+    return FcvbResult(labels[0] + 1, int(nu_c[0]), float(nu_e[0]), bool(converged[0]), tau[0])

@@ -141,5 +141,23 @@ def test_batch_fb_degenerate_trial():
     p0 = np.array([1.0, 0.0])
     Psi = np.ones((3, n, M))
     Psi[1, 0] = [0.0, 1.0]  # only reachable from the zero-mass start state
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError) as err:
         batch_fb(T, p0, Psi)
+    assert err.value.trial == 1
+    assert "trial 1" in str(err.value)
+
+
+@pytest.mark.parametrize("accelerated", [False, True])
+def test_batch_ivb_exact_threshold_parity(accelerated):
+    # At xi=0 a block must stop where each of its trials stops alone,
+    # with the same bits: the KS-resolution guard of the per-trial run
+    # holds in the block too.
+    T, p0, Psi, models = _shared_setup(311, B=200, M=4, n=20)
+    init = Psi / Psi.sum(axis=2, keepdims=True)
+    p, nu_c, nu_e, converged = batch_ivb(
+        T, p0, Psi, init, xi=0.0, max_cycles=100, accelerated=accelerated)
+    cfg = StoppingConfig(xi=0.0, max_cycles=100, accelerated=accelerated)
+    for b, model in enumerate(models):
+        res = ivb_run(model, init[b], cfg)
+        assert np.array_equal(p[b], res.p)
+        assert (nu_c[b], nu_e[b], converged[b]) == (res.nu_c, res.nu_e, res.converged)

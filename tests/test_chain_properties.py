@@ -1,0 +1,136 @@
+"""Property tests of the chain kernels against the enumerated posterior.
+
+Models are drawn with zero entries in the transition matrix and the
+start pmf, likelihood entries down to 1e-30 and blocks of several
+trials sharing one chain, including n=1 and M=2.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.testing import assert_allclose
+
+from trellis.batch import (DegenerateObservation, forward_backward, marginal_sweep,
+                           point_mass_sweep, viterbi_trace)
+from trellis.hmc import BruteForcePosterior, HmcModel
+from trellis.numerics import safe_log
+
+# an enumerated MAP must beat the runner-up by this relative margin
+# before the kernels are required to find it: ties may go either way
+MAP_MARGIN = 1e-9
+
+
+def _pmf(draw, M):
+    """Simplex vector with some exact zeros, positive entries >= ~0.003."""
+    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
+                               min_size=M, max_size=M)))
+    if w.sum() == 0.0:
+        w[draw(st.integers(0, M - 1))] = 1.0
+    return w / w.sum()
+
+
+@st.composite
+def chain_blocks(draw):
+    M = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 5))
+    B = draw(st.integers(1, 3))
+    T = np.column_stack([_pmf(draw, M) for _ in range(M)])
+    p0 = _pmf(draw, M)
+    level = st.sampled_from([0.0, 1e-30, 1e-12, 1e-3, 0.3, 1.0])
+    Psi = np.array(draw(st.lists(level, min_size=B * n * M, max_size=B * n * M)))
+    Psi = Psi.reshape(B, n, M)
+    empty = Psi.max(axis=2) == 0.0
+    Psi[empty, 0] = 1e-30
+    return T, p0, Psi
+
+
+def _brute(T, p0, Psi):
+    """Enumerated posterior per trial, or None where it has no mass."""
+    out = []
+    for row in Psi:
+        try:
+            out.append(BruteForcePosterior(HmcModel(T, p0, row)))
+        except DegenerateObservation:
+            out.append(None)
+    return out
+
+
+def _unique_map(brute):
+    top = np.sort(brute.table.ravel())[::-1]
+    return top.size == 1 or top[0] > top[1] * (1.0 + MAP_MARGIN)
+
+
+def _check_degenerate(call, brute):
+    bad = [b for b, post in enumerate(brute) if post is None]
+    try:
+        call()
+    except DegenerateObservation as e:
+        assert bad and e.trial == bad[0]
+        return True
+    assert not bad
+    return False
+
+
+SETTINGS = settings(max_examples=150, deadline=None)
+
+
+@SETTINGS
+@given(chain_blocks())
+def test_smoothing_matches_enumeration(block):
+    T, p0, Psi = block
+    brute = _brute(T, p0, Psi)
+    if _check_degenerate(lambda: forward_backward(T, p0, Psi), brute):
+        return
+    _, _, gamma = forward_backward(T, p0, Psi)
+    for b, post in enumerate(brute):
+        marg = np.array([post.marginal(i) for i in range(1, Psi.shape[1] + 1)])
+        assert_allclose(gamma[b], marg, atol=1e-10)
+        # the sum-product step is a BLAS product, whose rounding may
+        # depend on how many rows it multiplies
+        assert_allclose(forward_backward(T, p0, Psi[b:b + 1])[2][0], gamma[b],
+                        rtol=0, atol=1e-14)
+
+
+@SETTINGS
+@given(chain_blocks())
+def test_viterbi_and_profiles_find_the_map(block):
+    T, p0, Psi = block
+    brute = _brute(T, p0, Psi)
+    if _check_degenerate(lambda: forward_backward(T, p0, Psi, ring_sum=np.maximum), brute):
+        return
+    logT, logp0 = safe_log(T), safe_log(p0)
+    labels = viterbi_trace(logT, logp0, safe_log(Psi))[0]
+    _, _, profiles = forward_backward(T, p0, Psi, ring_sum=np.maximum)
+    for b, post in enumerate(brute):
+        alone = viterbi_trace(logT, logp0, safe_log(Psi[b:b + 1]))[0][0]
+        assert np.array_equal(alone, labels[b])
+        single = forward_backward(T, p0, Psi[b:b + 1], ring_sum=np.maximum)[2][0]
+        assert np.array_equal(single, profiles[b])
+        if _unique_map(post):
+            assert np.array_equal(labels[b] + 1, post.map_labels())
+            assert np.array_equal(np.argmax(profiles[b], axis=1), labels[b])
+
+
+@SETTINGS
+@given(chain_blocks(), st.booleans())
+def test_mean_field_rows_match_their_single_runs(block, accelerated):
+    T, p0, Psi = block
+    B = Psi.shape[0]
+    init = Psi / Psi.sum(axis=2, keepdims=True)
+    p, nu_c, nu_e, conv, tau, _ = marginal_sweep(
+        T, p0, Psi, init, xi=0.0, max_cycles=60, accelerated=accelerated)
+    start = np.argmax(Psi, axis=2)
+    k, mu_c, mu_e, mconv, mtau = point_mass_sweep(
+        T, p0, Psi, start, max_cycles=60, accelerated=accelerated)
+    for b in range(B):
+        one = marginal_sweep(T, p0, Psi[b:b + 1], init[b:b + 1], xi=0.0,
+                             max_cycles=60, accelerated=accelerated)
+        assert np.array_equal(one[0][0], p[b])
+        assert (one[1][0], one[2][0], one[3][0]) == (nu_c[b], nu_e[b], conv[b])
+        assert np.array_equal(one[4][0], tau[b])
+        pm = point_mass_sweep(T, p0, Psi[b:b + 1], start[b:b + 1], max_cycles=60,
+                              accelerated=accelerated)
+        assert np.array_equal(pm[0][0], k[b])
+        assert (pm[1][0], pm[2][0], pm[3][0]) == (mu_c[b], mu_e[b], mconv[b])
+        assert np.array_equal(pm[4][0], mtau[b])
+        assert nu_e[b] <= nu_c[b] and mu_e[b] <= mu_c[b]

@@ -197,10 +197,3 @@ def test_unconverged_flag():
     assert not res.converged
     assert res.nu_c == 1
 
-
-def test_theta_precompute_switch():
-    rng = np.random.default_rng(211)
-    small = fcvb_run(random_hmc(rng, M=2, n=3), [1, 1, 1])
-    big = fcvb_run(random_hmc(rng, M=2, n=8), [1] * 8)
-    assert not small.theta_precomputed
-    assert big.theta_precomputed
