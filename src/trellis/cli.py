@@ -292,7 +292,7 @@ def _cmd_pe_demo(args):
 def _selftest_checks():
     from .channel import rayleigh_quantizer
     from .factors import Factor, FactorModel, VariableSpace
-    from .freq import kay_weights
+    from .freq import FreqPrior, dft_grid, freq_posterior, kay_weights, tvb_freq, vb_freq
     from .gdl import dual_entropy, fb_reduce_single, naive_reduce
     from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
                       fb_algorithm, viterbi)
@@ -360,6 +360,25 @@ def _selftest_checks():
     def check_kay_weights():
         assert abs(kay_weights(64).sum() - 1.0) < 1e-12
 
+    def check_freq_batch_rows():
+        # the tone experiments run trials in blocks and the per-trial
+        # replay must reproduce them, so a row of a block is bit-exact
+        n, r_e, prior = 16, 0.2, FreqPrior(1.0, 0.1)
+        grid = dft_grid(n, pad=4)
+        noise = np.random.default_rng(64).standard_normal((3, n))
+        X = np.sin(0.9 * np.arange(1, n + 1)) + np.sqrt(r_e) * noise
+        post = freq_posterior(X, prior, grid, r_e)
+        vb = vb_freq(X, prior, grid, r_e, post=post)
+        tvb = tvb_freq(X, prior, grid, r_e, post=post)
+        for b in range(3):
+            one = freq_posterior(X[b], prior, grid, r_e)
+            assert np.array_equal(one.marginal, post.marginal[b])
+            assert one.post_mean == post.post_mean[b]
+            assert one.joint_map_amp == post.joint_map_amp[b]
+            assert vb_freq(X[b], prior, grid, r_e, post=one).omega_hat == vb.omega_hat[b]
+            t1 = tvb_freq(X[b], prior, grid, r_e, post=one)
+            assert t1.u12 == tvb.u12[b] and t1.omega_hat == tvb.omega_hat[b]
+
     def check_dual_entropy():
         space = VariableSpace(2, 2)
         jf = rng.random((2, 2)) + 0.1
@@ -385,6 +404,7 @@ def _selftest_checks():
         ("accelerated sweep equivalence", check_lemma_equivalence),
         ("quantizer threshold", check_quantizer_threshold),
         ("phase-increment weights", check_kay_weights),
+        ("freq_batch_rows", check_freq_batch_rows),
         ("dual-number cross entropy", check_dual_entropy),
         ("quartic density normalization", check_pe_normalization),
     ]

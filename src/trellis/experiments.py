@@ -3,9 +3,13 @@
 Determinism contract: every trial owns a counter-based generator keyed
 by master_seed XOR trial_index, with a fixed draw order per scenario
 (source uniforms, then channel uniforms for fading, then noise
-normals; the tone runs draw amplitude then noise). Aggregation is a
-sum over trials, combined in trial order, so chunk size and --jobs do
-not change any output except wall_ms.
+normals; the tone runs draw amplitude then noise). Partial results
+are combined in trial order, so --jobs changes nothing but wall_ms.
+Tone runs return per-trial squared errors and sum them over all trials,
+so their chunk size changes no output either. Symbol detection sums its
+divergences per chunk (pairwise) before adding the chunks, so the last
+bits of kld_mean can move with the chunk size; its other columns, bar
+wall_ms, come from integer counts and do not.
 """
 
 import time
@@ -142,6 +146,13 @@ def _run_hmc_chunk(spec):
     return out
 
 
+def _check_counts(trials, chunk):
+    if trials < 1:
+        raise ValueError("need trials >= 1, got %r" % (trials,))
+    if chunk < 1:
+        raise ValueError("need chunk >= 1, got %r" % (chunk,))
+
+
 def _map_chunks(worker, specs, jobs):
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
@@ -161,6 +172,7 @@ def run_experiment(cfg):
     seed = int(cfg.seed)
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
+    _check_counts(cfg.trials, cfg.chunk)
     for m in cfg.methods:
         if m not in HMC_METHODS:
             raise ValueError("unknown method %r" % (m,))
@@ -230,7 +242,17 @@ _FreqSpec = namedtuple(
 )
 
 
+# Trials per freq kernel call: bounds the (rows, G) working arrays of a
+# chunk, which at G = 1024 would otherwise raise peak memory by a third.
+_FREQ_ROWS = 64
+
+
 def _run_freq_chunk(spec):
+    """Per-method squared errors of one chunk's trials, in trial order.
+
+    The periodogram errors are one array; the Bayesian ones are Python
+    floats squared one trial at a time, as a single-trial call does.
+    """
     B = spec.t1 - spec.t0
     n = spec.n
     grid = dft_grid(n, spec.pad)
@@ -241,26 +263,39 @@ def _run_freq_chunk(spec):
     for r, t in enumerate(range(spec.t0, spec.t1)):
         g = trial_generator(spec.seed, t)
         X[r] = spec.mu_a * tone + np.sqrt(spec.r_e) * g.standard_normal(n)
-    sq = {m: 0.0 for m in spec.methods}
+    sq = {m: [] for m in spec.methods}
     if "periodogram" in sq:
         P = periodogram(X, grid)
         est = grid[np.argmax(P, axis=1)]
-        sq["periodogram"] = float(np.sum((est - spec.omega) ** 2))
+        sq["periodogram"] = (est - spec.omega) ** 2
     others = [m for m in spec.methods if m != "periodogram"]
     if others:
-        for r in range(B):
-            post = freq_posterior(X[r], prior, grid, spec.r_e)
+        for b0 in range(0, B, _FREQ_ROWS):
+            Xb = X[b0:b0 + _FREQ_ROWS]
+            post = freq_posterior(Xb, prior, grid, spec.r_e)
             for m in others:
                 if m == "pm":
                     est = post.post_mean
                 elif m == "map":
                     est = post.marginal_map
                 elif m == "vb":
-                    est = vb_freq(X[r], prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
+                    est = vb_freq(Xb, prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
                 else:
-                    est = tvb_freq(X[r], prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
-                sq[m] += (est - spec.omega) ** 2
+                    est = tvb_freq(Xb, prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
+                sq[m].extend((e - spec.omega) ** 2 for e in est.tolist())
     return sq
+
+
+def _sum_in_trial_order(m, parts):
+    # a one-chunk run sums exactly as a single chunk always has: the
+    # periodogram errors pairwise, the others one trial after another
+    if m == "periodogram":
+        return float(np.sum(np.concatenate(parts)))
+    total = 0.0
+    for part in parts:
+        for e in part:
+            total += e
+    return total
 
 
 def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5,
@@ -274,6 +309,7 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     if seed is None:
         raise ValueError("a seed is required")
     seed = int(seed)
+    _check_counts(trials, chunk)
     for m in methods:
         if m not in FREQ_METHODS:
             raise ValueError("unknown method %r" % (m,))
@@ -288,7 +324,8 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     bin_w = 2.0 * np.pi / n
     rows = []
     for m in methods:
-        rms = np.sqrt(sum(p[m] for p in partials) / trials) / bin_w
+        total = _sum_in_trial_order(m, [p[m] for p in partials])
+        rms = np.sqrt(total / trials) / bin_w
         rows.append({
             "method": m, "snr_db": float(snr_db), "n": n,
             "omega_bins": float(omega_bins), "rms_bins": float(rms),

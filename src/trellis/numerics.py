@@ -144,8 +144,14 @@ def adaptive_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=204
 
 
 def log_normalize(logw):
-    """Normalize a log-weight vector into a probability vector (stable)."""
+    """Normalize log weights into probabilities along the last axis (stable).
+
+    Each row is shifted by its own maximum and summed along the
+    contiguous last axis, so a row of a stacked call equals the call on
+    that row alone, bit for bit.
+    """
     logw = np.asarray(logw, dtype=float)
-    m = np.max(logw)
-    w = np.exp(logw - m)
-    return w / np.sum(w)
+    w = logw - np.max(logw, axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= np.sum(w, axis=-1, keepdims=True)
+    return w

@@ -65,6 +65,31 @@ def test_missing_seed_is_config_error(capsys):
     assert "usage" in err
 
 
+@pytest.mark.parametrize("argv, word", [
+    (["freq", "--chunk", "-3"], "chunk"),
+    (["hmc-awgn", "--chunk", "-2"], "chunk"),
+    (["freq", "--chunk", "0"], "chunk"),
+    (["freq", "--trials", "0"], "trials"),
+    (["hmc-awgn", "--trials", "0"], "trials"),
+])
+def test_non_positive_counts_are_config_errors(argv, word, capsys):
+    rc = main(argv + ["--seed", "1", "--n", "8", "--ebn0", "10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and word in err
+
+
+def test_freq_csv_independent_of_chunk_and_jobs(tmp_path):
+    base = ["freq", "--seed", "99", "--n", "16", "--trials", "50", "--ebn0", "10",
+            "--pad", "4"]
+    bodies = []
+    for extra in (["--chunk", "7", "--jobs", "2"], ["--chunk", "2000"]):
+        path = str(tmp_path / "run.csv")
+        assert main(base + extra + ["--out", path]) == 0
+        bodies.append(open(path).read().split("\n", 1)[1])
+    assert bodies[0] == bodies[1]
+
+
 def test_unknown_method_is_config_error(capsys):
     rc = main(["hmc-awgn", "--seed", "1", "--trials", "2", "--n", "8",
                "--methods", "bogus"])

@@ -40,6 +40,12 @@ def test_dft_grid():
         dft_grid(1)
 
 
+@pytest.mark.parametrize("pad", [0, -2])
+def test_dft_grid_rejects_pad_below_one(pad):
+    with pytest.raises(ValueError, match="pad"):
+        dft_grid(16, pad=pad)
+
+
 def test_kay_weights_sum_to_one():
     for n in range(2, 1025):
         assert abs(kay_weights(n).sum() - 1.0) < 1e-12
@@ -228,3 +234,92 @@ def test_single_point_grid():
     res = vb_freq(x, PRIOR, grid, r_e)
     assert_allclose(res.ftilde, [1.0])
     assert res.omega_hat == 0.8
+
+
+def _block(B, n=24, r_e=0.2, seed=13):
+    i = np.arange(1, n + 1)
+    noise = np.random.default_rng(seed).standard_normal((B, n))
+    return np.sin(1.05 * i) + np.sqrt(r_e) * noise
+
+
+def _assert_row(block, single, b, skip=("grid", "r", "posterior")):
+    for name in block._fields:
+        if name in skip:
+            continue
+        got, want = getattr(block, name)[b], getattr(single, name)
+        if np.ndim(want) == 0:
+            assert type(want) in (float, int), name
+            assert got == want, name
+        else:
+            assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("B", [1, 2, 63, 64, 65, 130])
+def test_block_rows_equal_single_trials(B):
+    n, r_e = 24, 0.2
+    grid = dft_grid(n, pad=8)
+    X = _block(B, n, r_e)
+    post = freq_posterior(X, PRIOR, grid, r_e)
+    vb = vb_freq(X, PRIOR, grid, r_e)
+    tv = tvb_freq(X, PRIOR, grid, r_e)
+    assert post.mu.shape == (B, grid.size) and post.r.shape == (grid.size,)
+    assert tv.u12.shape == (B,)
+    for b in range(B):
+        one = freq_posterior(X[b], PRIOR, grid, r_e)
+        _assert_row(post, one, b)
+        assert np.array_equal(post.r, one.r)
+        _assert_row(vb, vb_freq(X[b], PRIOR, grid, r_e), b)
+        _assert_row(tv, tvb_freq(X[b], PRIOR, grid, r_e), b)
+        assert tvb_u12(X[b], one, r_e) == tv.u12[b]
+
+
+def test_block_posterior_matches_closed_form_loop():
+    n, r_e = 24, 0.2
+    grid = dft_grid(n, pad=4)
+    X = _block(5, n, r_e)
+    post = freq_posterior(X, PRIOR, grid, r_e)
+    i = np.arange(1, n + 1)
+    for b, x in enumerate(X):
+        mu, r, logw = [], [], []
+        for w in grid:
+            s = np.sin(w * i)
+            rg = 1.0 / (np.sum(s ** 2) / r_e + 1.0 / PRIOR.r_a)
+            mg = rg * (np.sum(x * s) / r_e + PRIOR.mu_a / PRIOR.r_a)
+            mu.append(mg)
+            r.append(rg)
+            logw.append(mg ** 2 / (2.0 * rg) + 0.5 * np.log(rg))
+        mu, r, logw = np.array(mu), np.array(r), np.array(logw)
+        marginal = np.exp(logw - logw.max())
+        marginal /= marginal.sum()
+        assert_allclose(post.r, r, rtol=1e-12)
+        assert_allclose(post.mu[b], mu, rtol=1e-12)
+        assert_allclose(post.marginal[b], marginal, rtol=1e-12)
+        jm = int(np.argmax(mu ** 2 / (2.0 * r)))
+        assert post.joint_map_index[b] == jm
+        assert post.joint_map_amp[b] == post.mu[b, jm]
+        assert_allclose(post.post_mean[b], marginal @ grid, rtol=1e-12)
+
+
+def test_run_freq_chunk_is_blocking_independent():
+    # below, at and above the kernel row block, each trial's squared
+    # errors equal those of single-trial calls
+    from trellis.experiments import _FREQ_ROWS, _FreqSpec, _run_freq_chunk, trial_generator
+
+    n, seed, omega, r_e = 16, 5, 1.1 * 2.0 * np.pi / 16, 0.3
+    methods = ("pm", "map", "vb", "tvb")
+    grid = dft_grid(n, 4)
+    i = np.arange(1, n + 1)
+    ref = {m: [] for m in methods}
+    for t in range(2 * _FREQ_ROWS + 3):
+        x = np.sin(omega * i) + np.sqrt(r_e) * trial_generator(seed, t).standard_normal(n)
+        post = freq_posterior(x, PRIOR, grid, r_e)
+        est = {"pm": post.post_mean, "map": post.marginal_map,
+               "vb": vb_freq(x, PRIOR, grid, r_e, 5, post=post).omega_hat,
+               "tvb": tvb_freq(x, PRIOR, grid, r_e, 5, post=post).omega_hat}
+        for m in methods:
+            ref[m].append((est[m] - omega) ** 2)
+    for B in (_FREQ_ROWS - 1, _FREQ_ROWS, 2 * _FREQ_ROWS + 3):
+        spec = _FreqSpec(seed, 0, B, n, omega, r_e, PRIOR.mu_a, PRIOR.r_a, 4, 5, methods)
+        got = _run_freq_chunk(spec)
+        for m in methods:
+            assert got[m] == ref[m][:B], (B, m)

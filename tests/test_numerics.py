@@ -114,6 +114,14 @@ def test_log_normalize_shift_invariant():
     assert_allclose(a.sum(), 1.0, atol=1e-12)
 
 
+def test_log_normalize_rows_equal_single_calls():
+    logw = np.random.default_rng(4).normal(size=(5, 33)) * 40.0
+    block = log_normalize(logw)
+    for row, w in zip(logw, block):
+        assert np.array_equal(log_normalize(row), w)
+    assert_allclose(block.sum(axis=1), 1.0, atol=1e-12)
+
+
 def test_log_normalize_extreme_range():
     out = log_normalize(np.array([0.0, -1e9, -2e9]))
     assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-300)
