@@ -1,8 +1,9 @@
 """The chain recursions, each written once for a block of trials.
 
 Every function takes a (B, n, M) likelihood block whose trials share
-one transition matrix: forward_backward over a ring-sum, the min-sum
-viterbi_trace, and the mean-field marginal_sweep and point_mass_sweep.
+one transition matrix: forward_backward over a trellis.semiring
+instance, the min-sum viterbi_trace, and the mean-field marginal_sweep
+and point_mass_sweep.
 The scalar API in hmc and vb runs them with B=1. Labels are 0-based
 and ties resolve to the smallest index. A trial gets the same bits
 alone or in a block, except from a BLAS matrix product, which may
@@ -13,6 +14,7 @@ sum-product pass and in the marginal sweep at xi >= KS_RESOLUTION.
 import numpy as np
 
 from .numerics import safe_log
+from .semiring import SUM_PRODUCT
 
 # Float sweeps can wander forever in the last bit of a pmf entry, which
 # would keep the xi=0 stopping rule from ever firing. Movement at or
@@ -32,20 +34,24 @@ class DegenerateObservation(ValueError, FloatingPointError):
         return "trial %d: %s" % self.args
 
 
-def forward_backward(T, p0, Psi, ring_sum=np.add, keep_beta=False):
+def forward_backward(T, p0, Psi, sr=SUM_PRODUCT, keep_beta=False):
     """Normalized forward rows, backward rows and their normalized products.
 
-    With np.add: filtering rows alpha and smoothing marginals gamma;
-    with np.maximum, gamma holds the max-product profiles. Returns
+    sr is a semiring whose ring-product multiplies. Under sum-product:
+    filtering rows alpha and smoothing marginals gamma; under
+    max-product, gamma holds the max-product profiles. Returns
     (alpha, beta, gamma); gamma takes over beta's storage unless
     keep_beta.
     """
+    if sr.combine is not np.multiply:
+        raise ValueError("forward_backward normalizes by division: %s is not a product ring"
+                         % sr.name)
     B, n, M = Psi.shape
-    if ring_sum is np.add:
+    if sr.sum is np.add:
         contract = np.matmul  # the sum-product step is a matrix product
     else:
         def contract(v, A):
-            return ring_sum.reduce(v[:, :, None] * A, axis=1)
+            return sr.reduce_axis(sr.combine(v[:, :, None], A), 1)
     alpha = np.empty((B, n, M))
     beta = np.empty((B, n, M))
     # A zero normalizer turns its trial's rows into NaN, which the

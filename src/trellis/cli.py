@@ -108,14 +108,14 @@ def build_parser():
     return p
 
 
-def _apply_config(args):
-    if getattr(args, "config", None) is None:
-        return
+def _config_argv(args):
+    """The lines of the --config file as flags, to parse after the command line."""
     try:
         with open(args.config) as fh:
             lines = fh.readlines()
     except OSError as e:
         raise _ConfigError("cannot read config file: %s" % e)
+    flags = []
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,15 +126,8 @@ def _apply_config(args):
         dest = key.replace("-", "_")
         if not hasattr(args, dest) or dest in ("cmd", "config"):
             raise _ConfigError("unknown config key %r" % key)
-        cur = getattr(args, dest)
-        if isinstance(cur, bool):
-            setattr(args, dest, val.lower() in ("1", "true", "yes"))
-        elif isinstance(cur, int):
-            setattr(args, dest, int(val))
-        elif isinstance(cur, float):
-            setattr(args, dest, float(val))
-        else:
-            setattr(args, dest, val)
+        flags.append("--%s=%s" % (dest.replace("_", "-"), val))
+    return flags
 
 
 def _manifest(args, skip=("config", "plot_data")):
@@ -290,10 +283,11 @@ def _cmd_pe_demo(args):
 
 
 def _selftest_checks():
+    from .batch import forward_backward
     from .channel import rayleigh_quantizer
     from .factors import Factor, FactorModel, VariableSpace
     from .freq import FreqPrior, dft_grid, freq_posterior, kay_weights, tvb_freq, vb_freq
-    from .gdl import dual_entropy, fb_reduce_single, naive_reduce
+    from .gdl import dual_entropy, fb_reduce_sequential, fb_reduce_single, naive_reduce
     from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
                       fb_algorithm, viterbi)
     from .numerics import adaptive_simpson_2d
@@ -341,6 +335,18 @@ def _selftest_checks():
             b = naive_reduce(model, sr, {1, 2, 4})
             assert a.vars == b.vars
             assert np.max(np.abs(a.table - b.table)) < 1e-9
+
+    def check_chain_vs_split():
+        n, M = 6, 3
+        model = random_hmc(M, n)
+        chain = FactorModel(VariableSpace(n, M), [Factor([1], model.p * model.Psi[0], M)] + [
+            Factor([i, i + 1], model.T.T * model.Psi[i], M) for i in range(1, n)])
+        for name in ("sum-product", "max-product"):
+            sr = semiring(name)
+            gamma = forward_backward(model.T, model.p, model.Psi[None], sr=sr)[2][0]
+            marginals = fb_reduce_sequential(chain, sr, [{i} for i in range(1, n + 1)])
+            for f, g in zip(marginals, gamma):
+                assert np.max(np.abs(f.table / f.table.sum() - g)) < 1e-12
 
     def check_lemma_equivalence():
         model = random_hmc(3, 12)
@@ -401,6 +407,7 @@ def _selftest_checks():
         ("smoothing vs exhaustive", check_fb_oracle),
         ("trajectory MAP vs exhaustive", check_viterbi_oracle),
         ("split reduction vs direct", check_gdl_vs_naive),
+        ("chain kernel vs split reduction", check_chain_vs_split),
         ("accelerated sweep equivalence", check_lemma_equivalence),
         ("quantizer threshold", check_quantizer_threshold),
         ("phase-increment weights", check_kay_weights),
@@ -429,9 +436,12 @@ def _cmd_selftest(_args):
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
-        _apply_config(args)
+        if getattr(args, "config", None) is not None:
+            # after the command line's flags, so a config line overrides its flag
+            args = parser.parse_args(argv + _config_argv(args))
         if args.cmd in ("hmc-awgn", "hmc-fading"):
             return _cmd_hmc(args)
         if args.cmd == "freq":

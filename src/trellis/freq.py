@@ -83,17 +83,14 @@ def kay_estimate(x):
     return float(kay_weights(n) @ inc)
 
 
-def fitz_estimate(x, L=None, display_norm=False):
+def fitz_estimate(x, L=None):
     """Average autocorrelation phase slope (complex samples).
 
     R[m] is the lag-m sample autocorrelation; the estimate divides the
-    summed phases by the triangular count. display_norm forces the
-    L = n-1 window written with the equivalent 2/(n(n-1)) factor.
+    summed phases by the triangular count.
     """
     x = np.asarray(x)
     n = x.shape[-1]
-    if display_norm:
-        L = n - 1
     if L is None:
         L = n - 1
     if not 1 <= L <= n - 1:
@@ -104,8 +101,6 @@ def fitz_estimate(x, L=None, display_norm=False):
         phases[m - 1] = np.angle(R)
     if np.any(np.abs(phases) > 0.95 * np.pi):
         warnings.warn("autocorrelation phase near +-pi; estimate may wrap", stacklevel=2)
-    if display_norm:
-        return float(2.0 / (n * (n - 1.0)) * phases.sum())
     return float(2.0 / (L * (L + 1.0)) * phases.sum())
 
 

@@ -84,6 +84,21 @@ def _maybe_rescale(f, sr, rescale):
     return f
 
 
+def _sweep(sr, factors, kills, counter, rescale=False):
+    """Fold the factors in order, eliminating kills[k] after taking in factors[k].
+
+    Returns the tables as they stood before each elimination, and the
+    last result.
+    """
+    before = []
+    cur = None
+    for g, kill in zip(factors, kills):
+        u = g if cur is None else _combine(sr, g, cur, counter)
+        before.append(u)
+        cur = _maybe_rescale(_reduce(sr, u, kill, counter), sr, rescale)
+    return before, cur
+
+
 def naive_reduce(model, sr, S, counter=None):
     """Full-joint evaluation: combine everything over the universe, then reduce S."""
     S = frozenset(S)
@@ -128,21 +143,9 @@ def fb_reduce_single(model, sr, S, i=None, counter=None, rescale=False):
         raise ValueError("split index must satisfy 1 <= i <= n-1")
     nln = nln_partition(model)
     fa = fa_partition(model)
-
-    fwd = _reduce(sr, model.factors[0], nln[0] & S, counter)
-    fwd = _maybe_rescale(fwd, sr, rescale)
-    for j in range(2, i + 1):
-        fwd = _reduce(sr, _combine(sr, model.factors[j - 1], fwd, counter),
-                      nln[j - 1] & S, counter)
-        fwd = _maybe_rescale(fwd, sr, rescale)
-
-    bwd = _reduce(sr, model.factors[n - 1], fa[n - 1] & S, counter)
-    bwd = _maybe_rescale(bwd, sr, rescale)
-    for j in range(n - 1, i, -1):
-        bwd = _reduce(sr, _combine(sr, model.factors[j - 1], bwd, counter),
-                      fa[j - 1] & S, counter)
-        bwd = _maybe_rescale(bwd, sr, rescale)
-
+    _, fwd = _sweep(sr, model.factors[:i], [k & S for k in nln[:i]], counter, rescale)
+    _, bwd = _sweep(sr, model.factors[i:][::-1], [k & S for k in fa[i:][::-1]],
+                    counter, rescale)
     res = _reduce(sr, _combine(sr, bwd, fwd, counter), eta_set(model, i) & S, counter)
     assert res.index_set == model.universe - S
     return res
@@ -171,29 +174,18 @@ def fb_reduce_sequential(model, sr, objectives, counter=None):
     topo = CITopology(model)
     in_proc = [topo.in_process(i) for i in range(1, n)]
 
-    ubars = {}
-    fwd = None
-    for j in range(1, n):
-        u = model.factors[j - 1] if fwd is None else \
-            _combine(sr, model.factors[j - 1], fwd, counter)
-        ubars[j] = u
-        fwd = _reduce(sr, u, nln[j - 1], counter)
-
-    vbars = {}
-    bwd = None
-    for j in range(n, 1, -1):
-        v = model.factors[j - 1] if bwd is None else \
-            _combine(sr, model.factors[j - 1], bwd, counter)
-        vbars[j] = v
-        bwd = _reduce(sr, v, fa[j - 1], counter)
+    # ubars[k]: factors 1..k+1 folded, before nln[k] is eliminated;
+    # vbars[k]: factors n-k..n folded, before fa[n-1-k] is eliminated
+    ubars, _ = _sweep(sr, model.factors[:n - 1], nln[:n - 1], counter)
+    vbars, _ = _sweep(sr, model.factors[1:][::-1], fa[1:][::-1], counter)
 
     results = []
     for o in objs:
         split = next((i for i in range(1, n) if o <= in_proc[i - 1]), None)
         if split is None:
             raise NofViolation(o)
-        left = _reduce(sr, ubars[split], nln[split - 1] - o, counter)
-        right = _reduce(sr, vbars[split + 1], fa[split] - o, counter)
+        left = _reduce(sr, ubars[split - 1], nln[split - 1] - o, counter)
+        right = _reduce(sr, vbars[n - 1 - split], fa[split] - o, counter)
         res = _reduce(sr, _combine(sr, right, left, counter),
                       eta_set(model, split) - o, counter)
         assert res.index_set == o

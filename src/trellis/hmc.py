@@ -15,6 +15,7 @@ import numpy as np
 
 from .batch import DegenerateObservation, forward_backward, viterbi_trace
 from .numerics import safe_log
+from .semiring import semiring
 
 BRUTE_GUARD = 10 ** 6
 
@@ -72,7 +73,8 @@ def bidirectional_viterbi(model):
     posterior over all labels except l_i; its argmax sequence matches
     the back-tracked joint MAP.
     """
-    _, _, profiles = forward_backward(model.T, model.p, model.Psi[None], ring_sum=np.maximum)
+    _, _, profiles = forward_backward(model.T, model.p, model.Psi[None],
+                                      sr=semiring("max-product"))
     return ProfileResult(profiles[0], np.argmax(profiles[0], axis=1) + 1)
 
 

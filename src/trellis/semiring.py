@@ -1,71 +1,33 @@
-"""Commutative pre-semirings used by the generic reduction engine.
+"""Commutative pre-semirings shared by the chain kernel and the reduction engine.
 
-Each instance supplies a binary combine (ring-product) and an axis
-reduction (ring-sum) over numpy tables. Identities are not required;
-reductions are only ever taken over non-empty axes. Values are plain
-floats except for the dual instance, whose tables carry a trailing
-axis of length 2 holding (real, dual) parts.
+Each instance is a record of a ring-sum ufunc, whose reduce is the axis
+reduction, and a ring-product combine over numpy tables. Identities are
+not required; reductions are only ever taken over non-empty axes.
+Values are plain floats except for the dual instance, whose tables
+carry a trailing axis of length 2 holding (real, dual) parts.
+trellis.batch runs its forward-backward pass over these same instances.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
 
-class DualNumber:
-    """Scalar dual number a + eps*b, matrix form [[a, b], [0, a]]."""
+class Semiring(namedtuple("Semiring", "name sum combine low high tail_dims")):
+    """A (ring-sum ufunc, ring-product) pair acting on numpy tables.
 
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b=0.0):
-        self.a = float(a)
-        self.b = float(b)
-
-    @classmethod
-    def from_angle(cls, a, t):
-        """Polar form a angle t with t = b/a."""
-        return cls(a, a * t)
-
-    @property
-    def angle(self):
-        return self.b / self.a
-
-    def __add__(self, other):
-        return DualNumber(self.a + other.a, self.b + other.b)
-
-    def __mul__(self, other):
-        return DualNumber(self.a * other.a, self.a * other.b + self.b * other.a)
-
-    def to_matrix(self):
-        return np.array([[self.a, self.b], [0.0, self.a]])
-
-    def __repr__(self):
-        return "DualNumber(%r, %r)" % (self.a, self.b)
-
-
-class Semiring:
-    """A validated (ring-sum, ring-product) pair acting on numpy tables.
-
-    tail_dims is the number of trailing non-variable axes in a value
-    table (1 for the dual instance, else 0).
+    sample draws test values uniformly from [low, high); tail_dims is
+    the number of trailing non-variable axes in a value table (1 for
+    the dual instance, else 0).
     """
 
-    def __init__(self, name, combine, reduce_axis, sample, tail_dims=0):
-        self.name = name
-        self._combine = combine
-        self._reduce_axis = reduce_axis
-        self._sample = sample
-        self.tail_dims = tail_dims
-
-    def combine(self, x, y):
-        return self._combine(x, y)
+    __slots__ = ()
 
     def reduce_axis(self, table, axis):
-        return self._reduce_axis(table, axis)
+        return self.sum.reduce(table, axis)
 
     def sample(self, rng, shape):
-        return self._sample(rng, shape)
-
-    def __repr__(self):
-        return "Semiring(%s)" % self.name
+        return rng.uniform(self.low, self.high, tuple(shape) + (2,) * self.tail_dims)
 
 
 def _dual_combine(x, y):
@@ -75,37 +37,16 @@ def _dual_combine(x, y):
     return out
 
 
-def _build(name):
-    if name == "sum-product":
-        return Semiring(
-            name,
-            np.multiply,
-            lambda t, ax: np.add.reduce(t, axis=ax),
-            lambda rng, shape: rng.uniform(0.1, 2.0, shape),
-        )
-    if name == "max-product":
-        return Semiring(
-            name,
-            np.multiply,
-            lambda t, ax: np.maximum.reduce(t, axis=ax),
-            lambda rng, shape: rng.uniform(0.1, 2.0, shape),
-        )
-    if name == "max-sum":
-        return Semiring(
-            name,
-            np.add,
-            lambda t, ax: np.maximum.reduce(t, axis=ax),
-            lambda rng, shape: rng.uniform(-3.0, 3.0, shape),
-        )
-    if name == "dual":
-        return Semiring(
-            name,
-            _dual_combine,
-            lambda t, ax: np.add.reduce(t, axis=ax),
-            lambda rng, shape: rng.uniform(-2.0, 2.0, tuple(shape) + (2,)),
-            tail_dims=1,
-        )
-    raise KeyError("unknown semiring %r" % name)
+# The chain kernel's default; semiring("sum-product") returns this same
+# object, with its laws checked on that first call rather than at import.
+SUM_PRODUCT = Semiring("sum-product", np.add, np.multiply, 0.1, 2.0, 0)
+
+_RINGS = {sr.name: sr for sr in (
+    SUM_PRODUCT,
+    Semiring("max-product", np.maximum, np.multiply, 0.1, 2.0, 0),
+    Semiring("max-sum", np.maximum, np.add, -3.0, 3.0, 0),
+    Semiring("dual", np.add, _dual_combine, -2.0, 2.0, 1),
+)}
 
 
 def check_laws(sr, rng=None, triples=100, rtol=1e-9):
@@ -139,15 +80,16 @@ def check_laws(sr, rng=None, triples=100, rtol=1e-9):
     return True
 
 
-ALL_SEMIRINGS = ("sum-product", "max-product", "max-sum", "dual")
+ALL_SEMIRINGS = tuple(_RINGS)
 
-_cache = {}
+_checked = set()
 
 
 def semiring(name):
     """Return the named instance, validating its laws on first use."""
-    if name not in _cache:
-        sr = _build(name)
-        check_laws(sr)
-        _cache[name] = sr
-    return _cache[name]
+    if name not in _RINGS:
+        raise KeyError("unknown semiring %r" % name)
+    if name not in _checked:
+        check_laws(_RINGS[name])
+        _checked.add(name)
+    return _RINGS[name]

@@ -232,6 +232,24 @@ def test_config_unknown_key(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd,key,val,rc", [
+    ("gdl-count", "split", "2", 0),
+    ("gdl-count", "split", "two", 1),
+    ("pe-demo", "transform", "foo", 1),
+])
+def test_config_line_parses_as_its_flag(tmp_path, capsys, cmd, key, val, rc):
+    # a config value is typed and validated exactly as the flag is
+    path = str(tmp_path / "ex5.model")
+    save_model(_ex5_model(), path)
+    argv = [cmd, "--rho", "0.5"] if cmd == "pe-demo" else [cmd, "--model", path]
+    assert main(argv + ["--" + key, val]) == rc
+    flag_io = capsys.readouterr()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("%s=%s\n" % (key, val))
+    assert main(argv + ["--config", str(cfg)]) == rc
+    assert capsys.readouterr() == flag_io
+
+
 def test_pe_demo_output(tmp_path):
     out = str(tmp_path / "pe.csv")
     rc = main(["pe-demo", "--rho", "0.0,0.5", "--out", out])

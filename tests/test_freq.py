@@ -75,13 +75,6 @@ def test_fitz_noiseless_exact():
     assert abs(fitz_estimate(y, L=6) - 0.45) < 1e-10
 
 
-def test_fitz_display_norm_equivalent():
-    rng = np.random.default_rng(81)
-    x = np.exp(1j * 0.15 * np.arange(16)) + 0.05 * (
-        rng.standard_normal(16) + 1j * rng.standard_normal(16))
-    assert fitz_estimate(x, L=15) == fitz_estimate(x, display_norm=True)
-
-
 def test_fitz_wrap_warning():
     x = np.exp(1j * 3.0 * np.arange(12))
     with pytest.warns(UserWarning):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import random_factor_model
+from conftest import random_factor_model, random_hmc
+from trellis.batch import forward_backward
 from trellis.factors import Factor, FactorModel, VariableSpace
 from trellis.gdl import (
     NofViolation,
@@ -182,6 +183,31 @@ def test_sequential_matches_per_variable_marginals():
             ref = naive_reduce(model, sr, model.universe - {v})
             assert res.vars == (v,)
             assert_allclose(res.table, ref.table, rtol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["sum-product", "max-product"])
+def test_chain_kernel_matches_split_reduction(name):
+    # the same ring through both engines: batch.forward_backward's rows
+    # are the normalized single-variable reductions of the chain's factors
+    sr = semiring(name)
+    rng = np.random.default_rng(17)
+    for trial in range(100):
+        hm = random_hmc(rng, n=1 if trial < 10 else None)
+        n, M = hm.n, hm.M
+        chain = FactorModel(VariableSpace(n, M), [Factor([1], hm.p * hm.Psi[0], M)] + [
+            Factor([i, i + 1], hm.T.T * hm.Psi[i], M) for i in range(1, n)])
+        gamma = forward_backward(hm.T, hm.p, hm.Psi[None], sr=sr)[2][0]
+        marginals = fb_reduce_sequential(chain, sr, [{i} for i in range(1, n + 1)])
+        for i, f in enumerate(marginals):
+            assert f.vars == (i + 1,)
+            assert_allclose(f.table / f.table.sum(), gamma[i], rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("name", ["max-sum", "dual"])
+def test_chain_kernel_rejects_non_product_rings(name):
+    hm = random_hmc(np.random.default_rng(3))
+    with pytest.raises(ValueError, match=name):
+        forward_backward(hm.T, hm.p, hm.Psi[None], sr=semiring(name))
 
 
 def test_sequential_rejects_split_objective():

@@ -1,11 +1,11 @@
-"""Semiring instances: laws, reductions, and the dual-number carrier."""
+"""Semiring instances: laws, reductions, and the dual-number tables."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from trellis.semiring import ALL_SEMIRINGS, DualNumber, Semiring, check_laws, semiring
+from trellis.semiring import ALL_SEMIRINGS, Semiring, check_laws, semiring
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 positive = st.floats(min_value=0.01, max_value=50, allow_nan=False)
@@ -57,34 +57,6 @@ def test_max_sum_distributivity(a, b, c):
     rhs = sr.reduce_axis(np.stack([sr.combine(np.asarray(a), np.asarray(b)),
                                    sr.combine(np.asarray(a), np.asarray(c))]), 0)
     assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
-
-
-def test_dual_product_angles_add():
-    x = DualNumber.from_angle(2.0, 3.0)
-    y = DualNumber.from_angle(4.0, 5.0)
-    z = x * y
-    assert z.a == 8.0
-    assert z.angle == pytest.approx(8.0, abs=1e-14)
-
-
-def test_dual_matrix_form_matches():
-    x = DualNumber(2.0, 3.0)
-    y = DualNumber(4.0, 5.0)
-    m = x.to_matrix() @ y.to_matrix()
-    z = x * y
-    assert_allclose(m, [[z.a, z.b], [0.0, z.a]])
-
-
-def test_dual_epsilon_squares_to_zero():
-    eps = DualNumber(0.0, 1.0)
-    sq = eps * eps
-    assert sq.a == 0.0 and sq.b == 0.0
-    assert_allclose(eps.to_matrix() @ eps.to_matrix(), np.zeros((2, 2)))
-
-
-def test_dual_addition_componentwise():
-    z = DualNumber(1.0, 2.0) + DualNumber(3.0, 4.5)
-    assert (z.a, z.b) == (4.0, 6.5)
 
 
 def test_dual_table_combine_and_reduce():
