@@ -2,8 +2,9 @@
 
 Every function takes a (B, n, M) likelihood block whose trials share
 one transition matrix: forward_backward over a trellis.semiring
-instance, the min-sum viterbi_trace, and the mean-field marginal_sweep
-and point_mass_sweep.
+instance and its forward half batch_forward, the min-sum
+viterbi_trace, the mean-field marginal_sweep and point_mass_sweep, and
+the divergences batch_kld and batch_kld_labels.
 The scalar API in hmc and vb runs them with B=1. Labels are 0-based
 and ties resolve to the smallest index. A trial gets the same bits
 alone or in a block, except from a BLAS matrix product, which may
@@ -34,6 +35,28 @@ class DegenerateObservation(ValueError, FloatingPointError):
         return "trial %d: %s" % self.args
 
 
+def _forward(T, p0, Psi, contract):
+    """The forward recursion: normalized rows, filled with NaN from a
+    trial's first zero normalizer on."""
+    B, n, M = Psi.shape
+    alpha = np.empty((B, n, M))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = Psi[:, 0] * p0
+        np.divide(a, np.add.reduce(a, axis=1, keepdims=True), out=alpha[:, 0])
+        for i in range(1, n):
+            a = contract(alpha[:, i - 1], T.T)
+            a *= Psi[:, i]
+            np.divide(a, np.add.reduce(a, axis=1, keepdims=True), out=alpha[:, i])
+    return alpha
+
+
+def _check_trials(rows):
+    """Raise DegenerateObservation for the first trial with NaN rows."""
+    bad = np.flatnonzero(np.isnan(np.add.reduce(rows[:, :, 0], axis=1)))
+    if bad.size:
+        raise DegenerateObservation(int(bad[0]))
+
+
 def forward_backward(T, p0, Psi, sr=SUM_PRODUCT, keep_beta=False):
     """Normalized forward rows, backward rows and their normalized products.
 
@@ -52,27 +75,29 @@ def forward_backward(T, p0, Psi, sr=SUM_PRODUCT, keep_beta=False):
     else:
         def contract(v, A):
             return sr.reduce_axis(sr.combine(v[:, :, None], A), 1)
-    alpha = np.empty((B, n, M))
-    beta = np.empty((B, n, M))
     # A zero normalizer turns its trial's rows into NaN, which the
     # recursion carries on; the trials are checked once at the end.
+    alpha = _forward(T, p0, Psi, contract)
+    beta = np.empty((B, n, M))
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = Psi[:, 0] * p0
-        np.divide(a, np.add.reduce(a, axis=1, keepdims=True), out=alpha[:, 0])
-        for i in range(1, n):
-            a = contract(alpha[:, i - 1], T.T)
-            a *= Psi[:, i]
-            np.divide(a, np.add.reduce(a, axis=1, keepdims=True), out=alpha[:, i])
         beta[:, n - 1] = 1.0 / M
         for i in range(n - 2, -1, -1):
             b = contract(Psi[:, i + 1] * beta[:, i + 1], T)
             np.divide(b, np.add.reduce(b, axis=1, keepdims=True), out=beta[:, i])
         gamma = alpha * beta if keep_beta else np.multiply(alpha, beta, out=beta)
         gamma /= np.add.reduce(gamma, axis=2, keepdims=True)
-    bad = np.flatnonzero(np.isnan(np.add.reduce(gamma[:, :, 0], axis=1)))
-    if bad.size:
-        raise DegenerateObservation(int(bad[0]))
+    _check_trials(gamma)
     return alpha, (beta if keep_beta else None), gamma
+
+
+def batch_forward(T, p0, Psi):
+    """Filtering rows alpha of every trial, with no backward pass.
+
+    The rows equal forward_backward's sum-product alpha bit for bit.
+    """
+    alpha = _forward(T, p0, Psi, np.matmul)
+    _check_trials(alpha)
+    return alpha
 
 
 def batch_fb(T, p0, Psi):
@@ -122,10 +147,10 @@ def batch_ml(Psi):
 def batch_kld(T, alpha, p):
     """Divergence of factored marginals p from each trial's posterior.
 
-    alpha are the normalized filtering rows from batch_fb. Works off
-    the chain decomposition, so nothing of size (B, M, M) per step is
-    stored. One-hot p rows give minus the log posterior of that
-    trajectory.
+    alpha are the normalized filtering rows from batch_forward. Works
+    off the chain decomposition, so nothing of size (B, M, M) per step
+    is stored. For point masses use batch_kld_labels, which gives the
+    one-hot result from the labels alone.
     """
     B, n, M = p.shape
     logT = safe_log(T)
@@ -135,6 +160,28 @@ def batch_kld(T, alpha, p):
         out -= np.einsum("bk,kl,bl->b", p[:, i + 1], logT, p[:, i])
         out -= np.einsum("bl,bl->b", p[:, i], safe_log(alpha[:, i]))
         out += np.einsum("bk,bk->b", p[:, i + 1], safe_log(alpha[:, i] @ T.T))
+    return out
+
+
+def batch_kld_labels(T, alpha, labels):
+    """Minus the log posterior of each trial's label path.
+
+    Equals batch_kld with one-hot rows at the labels bit for bit: each
+    einsum term there is the one entry its one-hot rows select, because
+    safe_log is finite, and the entries are read here by label and
+    added in the same order.
+    """
+    B, n, M = alpha.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    rows = np.arange(B)
+    lt = safe_log(T)[labels[:, 1:], labels[:, :-1]]
+    la = safe_log(np.take_along_axis(alpha, labels[:, :, None], axis=2)[:, :, 0])
+    out = np.zeros(B)  # a point mass has no entropy
+    out -= la[:, n - 1]
+    for i in range(n - 1):
+        out -= lt[:, i]
+        out -= la[:, i]
+        out += safe_log((alpha[:, i] @ T.T)[rows, labels[:, i + 1]])
     return out
 
 
@@ -235,7 +282,7 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
     lp[:, 0] += safe_log(p0)
     p = np.array(init)
     if track_kld:
-        alpha = forward_backward(T, p0, Psi)[0]
+        alpha = batch_forward(T, p0, Psi)
         kld = [[] for _ in range(B)]
     thr = max(xi, KS_RESOLUTION)
     for nu in range(1, max_cycles + 1):

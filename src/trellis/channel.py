@@ -198,19 +198,6 @@ def augmented_model(T_s, constellation, T_c, quantizer):
     return AugmentedModel(T, p, means, M, K, constellation, quantizer)
 
 
-def source_part(aug_labels, M):
-    return np.asarray(aug_labels) % M
-
-
-def channel_part(aug_labels, M):
-    return np.asarray(aug_labels) // M
-
-
-def bit_errors(true_sym, est_sym, constellation):
-    """Total wrong bits between two 0-based symbol label arrays."""
-    return int(constellation.bit_distance[np.asarray(true_sym), np.asarray(est_sym)].sum())
-
-
 def op_count_proxy(method, n, M, nu=1.0):
     """Dominant-term operation tallies per method for one trial.
 

@@ -283,7 +283,7 @@ def _cmd_pe_demo(args):
 
 
 def _selftest_checks():
-    from .batch import forward_backward
+    from .batch import batch_forward, batch_kld, batch_kld_labels, forward_backward
     from .channel import rayleigh_quantizer
     from .factors import Factor, FactorModel, VariableSpace
     from .freq import FreqPrior, dft_grid, freq_posterior, kay_weights, tvb_freq, vb_freq
@@ -348,6 +348,21 @@ def _selftest_checks():
             for f, g in zip(marginals, gamma):
                 assert np.max(np.abs(f.table / f.table.sum() - g)) < 1e-12
 
+    def check_point_mass_divergence():
+        # own generator, so the checks after it see the same draws; the
+        # zero in T makes some label paths impossible (LOG0 terms)
+        g = np.random.default_rng(7)
+        B, n, M = 4, 6, 3
+        T = g.random((M, M))
+        T[0, 1] = 0.0
+        T /= T.sum(axis=0)
+        alpha = batch_forward(T, np.full(M, 1.0 / M), g.random((B, n, M)) + 0.05)
+        labels = g.integers(0, M, size=(B, n))
+        one_hot = np.zeros((B, n, M))
+        np.put_along_axis(one_hot, labels[:, :, None], 1.0, axis=2)
+        got = batch_kld_labels(T, alpha, labels)
+        assert got.tobytes() == batch_kld(T, alpha, one_hot).tobytes()
+
     def check_lemma_equivalence():
         model = random_hmc(3, 12)
         init = np.full((12, 3), 1.0 / 3)
@@ -408,6 +423,7 @@ def _selftest_checks():
         ("trajectory MAP vs exhaustive", check_viterbi_oracle),
         ("split reduction vs direct", check_gdl_vs_naive),
         ("chain kernel vs split reduction", check_chain_vs_split),
+        ("point-mass divergence vs one-hot", check_point_mass_divergence),
         ("accelerated sweep equivalence", check_lemma_equivalence),
         ("quantizer threshold", check_quantizer_threshold),
         ("phase-increment weights", check_kay_weights),

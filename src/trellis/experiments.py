@@ -18,7 +18,8 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .batch import batch_fb, batch_fcvb, batch_ivb, batch_kld, batch_ml, batch_viterbi
+from .batch import (batch_fb, batch_fcvb, batch_forward, batch_ivb, batch_kld, batch_kld_labels,
+                    batch_ml, batch_viterbi)
 from .channel import (
     QamConstellation,
     augmented_model,
@@ -76,12 +77,6 @@ _ChunkSpec = namedtuple(
 )
 
 
-def _one_hot(labels, M):
-    out = np.zeros(labels.shape + (M,))
-    np.put_along_axis(out, labels[..., None], 1.0, axis=2)
-    return out
-
-
 def _run_hmc_chunk(spec):
     B = spec.t1 - spec.t0
     n = spec.n
@@ -106,12 +101,11 @@ def _run_hmc_chunk(spec):
 
     Mt = spec.means.shape[0]
     T, p = spec.T, spec.p
-    logT = logp = logPsi = None
     alpha = None
     out = {}
     for method in spec.methods:
-        if method == "va" and logPsi is None:
-            logT, logp, logPsi = safe_log(T), safe_log(p), safe_log(Psi)
+        # the next method's turn frees va's logs before it runs
+        logs = (safe_log(T), safe_log(p), safe_log(Psi)) if method == "va" else None
         acc = {"bit_err": 0, "nu_c": 0.0, "nu_e": 0.0, "kld": 0.0, "wall": 0.0, "has_nu": False, "has_kld": False}
         tic = time.perf_counter()
         if method == "ml":
@@ -119,7 +113,7 @@ def _run_hmc_chunk(spec):
         elif method == "fb":
             alpha, _, est = batch_fb(T, p, Psi)
         elif method == "va":
-            est = batch_viterbi(logT, logp, logPsi)
+            est = batch_viterbi(*logs)
         elif method in ("vb", "vb-acc"):
             init = np.full((B, n, Mt), 1.0 / Mt)
             phat, nu_c, nu_e, _ = batch_ivb(
@@ -136,10 +130,13 @@ def _run_hmc_chunk(spec):
             acc["nu_c"] = float(nu_c.sum())
             acc["nu_e"] = float(nu_e.sum())
             if alpha is None:
-                alpha = batch_fb(T, p, Psi)[0]
-            q = phat if method.startswith("vb") else _one_hot(est, Mt)
+                alpha = batch_forward(T, p, Psi)
+            if method.startswith("vb"):
+                kld = batch_kld(T, alpha, phat)
+            else:
+                kld = batch_kld_labels(T, alpha, est)
             acc["has_kld"] = True
-            acc["kld"] = float(batch_kld(T, alpha, q).sum())
+            acc["kld"] = float(kld.sum())
         est_src = est % spec.M_src if spec.fading else est
         acc["bit_err"] = int(spec.bit_distance[src, est_src].sum())
         out[method] = acc

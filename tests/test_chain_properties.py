@@ -1,4 +1,6 @@
-"""Property tests of the chain kernels against the enumerated posterior.
+"""Property tests of the chain kernels against the enumerated posterior,
+and of the forward-only pass and the point-mass divergence against the
+full pass and the one-hot divergence they must equal bit for bit.
 
 Models are drawn with zero entries in the transition matrix and the
 start pmf, likelihood entries down to 1e-30 and blocks of several
@@ -6,11 +8,13 @@ trials sharing one chain, including n=1 and M=2.
 """
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from trellis.batch import (DegenerateObservation, forward_backward, marginal_sweep,
+from trellis.batch import (DegenerateObservation, batch_fb, batch_forward, batch_kld,
+                           batch_kld_labels, forward_backward, marginal_sweep,
                            point_mass_sweep, viterbi_trace)
 from trellis.hmc import BruteForcePosterior, HmcModel
 from trellis.numerics import safe_log
@@ -92,6 +96,39 @@ def test_smoothing_matches_enumeration(block):
         # depend on how many rows it multiplies
         assert_allclose(forward_backward(T, p0, Psi[b:b + 1])[2][0], gamma[b],
                         rtol=0, atol=1e-14)
+
+
+@SETTINGS
+@given(chain_blocks())
+def test_forward_rows_equal_forward_backward(block):
+    T, p0, Psi = block
+    try:
+        want = batch_fb(T, p0, Psi)[0]
+    except DegenerateObservation as e:
+        with pytest.raises(DegenerateObservation) as got:
+            batch_forward(T, p0, Psi)
+        assert got.value.trial == e.trial
+        return
+    assert batch_forward(T, p0, Psi).tobytes() == want.tobytes()
+
+
+@SETTINGS
+@given(chain_blocks(), st.data())
+def test_point_mass_divergence_equals_one_hot(block, data):
+    # labels are drawn freely, so zero entries of T give impossible
+    # paths whose terms are LOG0
+    T, p0, Psi = block
+    B, n, M = Psi.shape
+    try:
+        alpha = batch_forward(T, p0, Psi)
+    except DegenerateObservation:
+        assume(False)
+    labels = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=B * n,
+                                         max_size=B * n))).reshape(B, n)
+    one_hot = np.zeros((B, n, M))
+    np.put_along_axis(one_hot, labels[:, :, None], 1.0, axis=2)
+    want = batch_kld(T, alpha, one_hot)
+    assert batch_kld_labels(T, alpha, labels).tobytes() == want.tobytes()
 
 
 @SETTINGS

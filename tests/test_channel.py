@@ -9,8 +9,6 @@ from trellis.channel import (
     QamConstellation,
     augmented_model,
     awgn_observe,
-    bit_errors,
-    channel_part,
     channel_transition_matrix,
     gaussian_psi,
     op_count_proxy,
@@ -19,7 +17,6 @@ from trellis.channel import (
     rho_from_doppler,
     sample_chain,
     snr_to_n0,
-    source_part,
 )
 from trellis.hmc import HmcModel, brute_force_posterior, fb_algorithm
 
@@ -161,15 +158,6 @@ def test_augmented_kron_columns():
             assert aug.means[k * M + m] == q.levels[k] * aug.constellation.points[m]
 
 
-def test_augmented_label_split():
-    M, K = 4, 3
-    aug = np.arange(M * K)
-    assert np.array_equal(source_part(aug, M), aug % M)
-    assert np.array_equal(channel_part(aug, M), aug // M)
-    rebuilt = channel_part(aug, M) * M + source_part(aug, M)
-    assert np.array_equal(rebuilt, aug)
-
-
 def test_augmented_chain_inference_consistency():
     rng = np.random.default_rng(72)
     M, K, n = 2, 2, 5
@@ -222,13 +210,6 @@ def test_awgn_observe():
                       rng.standard_normal((2000, 16)))
     assert_allclose(np.var(big.real), 0.25, rtol=0.1)
     assert_allclose(np.var(big.imag), 0.25, rtol=0.1)
-
-
-def test_bit_errors():
-    c = QamConstellation(4)
-    assert bit_errors([0, 1, 2], [0, 1, 2], c) == 0
-    total = bit_errors([0, 0], [1, 3], c)
-    assert total == c.bit_distance[0, 1] + c.bit_distance[0, 3]
 
 
 def test_op_count_ordering():
