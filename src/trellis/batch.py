@@ -188,21 +188,25 @@ def batch_kld_labels(T, alpha, labels):
 class _Sweep:
     """Schedule and counters of the mean-field sweeps.
 
-    A finished trial keeps its rows, masked out of later updates. tau
-    is laid out (n + 2, B), padded by one step at both ends.
+    tau, laid out (n + 2, B) with one pad step at both ends, flags the
+    steps due. A sweep reports each due step's movement to schedule: a
+    hot step stays due, a quiet one goes to sleep. The accelerated
+    schedule also wakes a hot step's neighbours and runs only the steps
+    so woken. The plain one is the same schedule with every step of an
+    unconverged trial re-woken at the end of each cycle. Either way a
+    trial has converged once no step is left due, and it keeps its rows
+    from then on.
     """
 
     def __init__(self, B, n, max_cycles, accelerated):
         self.n = n
         self.max_cycles = max_cycles
         self.accelerated = accelerated
-        self.active = np.ones(B, dtype=bool)
         self.tau = np.ones((n + 2, B), dtype=bool)
         self.ran = np.zeros((n, B), dtype=bool)
         self.updates = np.zeros(B, dtype=np.int64)
         self.nu_c = np.full(B, max_cycles, dtype=np.int64)
         self.converged = np.zeros(B, dtype=bool)
-        self.plain = slice(None), None
 
     @staticmethod
     def _rows(t):
@@ -220,33 +224,31 @@ class _Sweep:
 
     def due(self, i):
         """The trials that update step i, as _rows gives them."""
-        if not self.accelerated:
-            return self.plain
         t = self.tau[i + 1]
         self.ran[i] = t
         return self._rows(t)
 
     def schedule(self, i, rows, hot):
-        """A hot step wakes both neighbours, a quiet one goes to sleep."""
+        """A hot step stays due and, when accelerated, wakes both
+        neighbours; a quiet one goes to sleep. The plain schedule's
+        re-wake at the end of the cycle covers the neighbours."""
         self.tau[i + 1, rows] = hot
-        if np.count_nonzero(hot):
+        if self.accelerated and np.count_nonzero(hot):
             self.tau[i:i + 3:2, rows] |= hot
 
-    def retire(self, nu, done):
-        """Close cycle nu; False once no trial is left to run. done: the
-        trials a plain sweep saw converge; the accelerated schedule
-        passes None and is done where no step is left."""
-        if self.accelerated:
-            self.updates += np.add.reduce(self.ran, axis=0)
-            done = ~self.tau[1:-1].any(axis=0)
-        else:
-            self.updates[self.active] += self.n
-        done &= self.active
-        self.nu_c[done] = nu
-        self.converged[done] = True
-        self.active &= ~done
-        self.plain = self._rows(self.active)
-        return nu < self.max_cycles and self.plain is not None
+    def retire(self, nu):
+        """Close cycle nu; False once no trial is left to run.
+
+        A hot step keeps its own flag up to the end of the cycle, so no
+        step left due means no step moved in this cycle.
+        """
+        self.updates += np.add.reduce(self.ran, axis=0)
+        live = self.tau[1:-1].any(axis=0)
+        self.nu_c[~live & ~self.converged] = nu
+        self.converged = ~live
+        if not self.accelerated:
+            self.tau[1:-1] |= live
+        return nu < self.max_cycles and live.any()
 
     def results(self):
         return self.nu_c, self.updates / self.n, self.converged, self.tau[1:-1].T
@@ -256,9 +258,10 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
                    track_kld=False):
     """Mean-field marginal updates, plain or accelerated.
 
-    A plain sweep stops after the first cycle in which no pmf moved more
-    than xi in KS distance; the accelerated one when no step is left.
-    Returns (p, nu_c, nu_e, converged, tau, kld); with track_kld, kld[b]
+    A step is hot when its pmf moves more than xi in KS distance; a
+    trial stops after the first cycle with no hot step (see _Sweep).
+    Returns (p, nu_c, nu_e, converged, tau, kld): tau flags the steps
+    still due, all False for a converged trial; with track_kld, kld[b]
     lists trial b's divergence after each cycle.
     """
     B, n, M = Psi.shape
@@ -286,7 +289,6 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
         kld = [[] for _ in range(B)]
     thr = max(xi, KS_RESOLUTION)
     for nu in range(1, max_cycles + 1):
-        worst = np.zeros(B)
         for i in range(n):
             step = sweep.due(i)
             if step is None:
@@ -308,14 +310,11 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
                 p[r, i] = s
             else:
                 np.copyto(p[r, i], s, where=store[:, None])
-            if accelerated:
-                sweep.schedule(i, r, ks > thr if t is None else t & (ks > thr))
-            else:
-                np.maximum(worst[r], ks, out=worst[r])
+            sweep.schedule(i, r, ks > thr if t is None else t & (ks > thr))
         if track_kld:
-            for b in sweep.active.nonzero()[0]:
+            for b in (~sweep.converged).nonzero()[0]:
                 kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
-        if not sweep.retire(nu, None if accelerated else worst <= thr):
+        if not sweep.retire(nu):
             break
     return (p,) + sweep.results() + (kld if track_kld else None,)
 
@@ -323,8 +322,9 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
 def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False):
     """Point-mass mean-field updates, plain or accelerated.
 
-    A plain sweep stops after the first change-free cycle, which nu_c
-    counts. Returns (labels, nu_c, nu_e, converged, tau).
+    A step is hot when its label changes; a trial stops after the first
+    change-free cycle, which nu_c counts (see _Sweep). Returns (labels,
+    nu_c, nu_e, converged, tau), tau as marginal_sweep's.
     """
     B, n, M = Psi.shape
     k = np.asarray(init_labels, dtype=np.int64)
@@ -343,7 +343,6 @@ def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False)
     K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
     K[1:-1] = k.T
     for nu in range(1, max_cycles + 1):
-        before = K.copy()
         for i in range(n):
             step = sweep.due(i)
             if step is None:
@@ -351,9 +350,6 @@ def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False)
             r, t = step
             s = nxt[K[i + 2, r]] + prv[K[i, r]]
             s += lp[r, i]
-            if t is None and not accelerated:
-                s.argmax(axis=1, out=K[i + 1, r])
-                continue
             new = s.argmax(axis=1)
             moved = new != K[i + 1, r]
             if t is None:
@@ -361,9 +357,8 @@ def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False)
             else:
                 moved &= t
                 np.copyto(K[i + 1, r], new, where=moved)
-            if accelerated:
-                sweep.schedule(i, r, moved)
-        if not sweep.retire(nu, None if accelerated else (K == before).all(axis=0)):
+            sweep.schedule(i, r, moved)
+        if not sweep.retire(nu):
             break
     return (K[1:-1].T.copy(),) + sweep.results()
 

@@ -283,7 +283,8 @@ def _cmd_pe_demo(args):
 
 
 def _selftest_checks():
-    from .batch import batch_forward, batch_kld, batch_kld_labels, forward_backward
+    from .batch import (batch_forward, batch_kld, batch_kld_labels, forward_backward,
+                        marginal_sweep, point_mass_sweep)
     from .channel import rayleigh_quantizer
     from .factors import Factor, FactorModel, VariableSpace
     from .freq import FreqPrior, dft_grid, freq_posterior, kay_weights, tvb_freq, vb_freq
@@ -293,7 +294,6 @@ def _selftest_checks():
     from .numerics import adaptive_simpson_2d
     from .pe import pe_logpdf, pe_model
     from .semiring import ALL_SEMIRINGS, check_laws, semiring
-    from .vb import StoppingConfig, fcvb_run, ivb_run
 
     rng = np.random.default_rng(20240817)
 
@@ -364,15 +364,24 @@ def _selftest_checks():
         assert got.tobytes() == batch_kld(T, alpha, one_hot).tobytes()
 
     def check_lemma_equivalence():
-        model = random_hmc(3, 12)
-        init = np.full((12, 3), 1.0 / 3)
-        plain = ivb_run(model, init, StoppingConfig(xi=0.0, max_cycles=50))
-        accel = ivb_run(model, init, StoppingConfig(xi=0.0, max_cycles=50, accelerated=True))
-        assert plain.nu_c == accel.nu_c and np.array_equal(plain.p, accel.p)
-        start = np.argmax(model.Psi, axis=1) + 1
-        fp = fcvb_run(model, start, StoppingConfig(max_cycles=50))
-        fa = fcvb_run(model, start, StoppingConfig(max_cycles=50, accelerated=True))
-        assert fp.nu_c == fa.nu_c and np.array_equal(fp.labels, fa.labels)
+        # own generator, as the divergence check above
+        g = np.random.default_rng(12)
+        B, n, M = 3, 12, 3
+        T = g.random((M, M))
+        T /= T.sum(axis=0)
+        p0 = np.full(M, 1.0 / M)
+        Psi = g.random((B, n, M)) + 0.05
+        init = np.full((B, n, M), 1.0 / M)
+        start = np.argmax(Psi, axis=2)
+        runs = [(marginal_sweep(T, p0, Psi, init, xi=0.0),
+                 marginal_sweep(T, p0, Psi, init, xi=0.0, accelerated=True)),
+                (point_mass_sweep(T, p0, Psi, start),
+                 point_mass_sweep(T, p0, Psi, start, accelerated=True))]
+        for plain, accel in runs:
+            # the same fixed point (pmfs or labels) after as many cycles
+            assert plain[3].all() and accel[3].all()
+            assert np.array_equal(plain[1], accel[1])
+            assert plain[0].tobytes() == accel[0].tobytes()
 
     def check_quantizer_threshold():
         q = rayleigh_quantizer(2, 0.5)

@@ -26,7 +26,6 @@ from .channel import (
     awgn_observe,
     channel_transition_matrix,
     gaussian_psi,
-    op_count_proxy,
     random_source,
     rayleigh_quantizer,
     sample_chain,
@@ -34,6 +33,7 @@ from .channel import (
 )
 from .freq import FreqPrior, dft_grid, freq_posterior, periodogram, tvb_freq, vb_freq
 from .numerics import safe_log
+from .vb import StoppingConfig
 
 HMC_CSV_HEADER = (
     "method,scenario,M,K,ebn0_db,rho,n,trials,ber,ber_ci95,"
@@ -43,6 +43,8 @@ FREQ_CSV_HEADER = "method,snr_db,n,omega_bins,rms_bins,trials".split(",")
 PE_CSV_HEADER = "rho,kld_vb,kld_tvb".split(",")
 
 HMC_METHODS = ("ml", "fb", "va", "vb", "vb-acc", "fcvb", "fcvb-acc")
+# the mean-field methods, which report cycle counts and a divergence
+MEAN_FIELD_METHODS = ("vb", "vb-acc", "fcvb", "fcvb-acc")
 FREQ_METHODS = ("periodogram", "pm", "map", "vb", "tvb")
 
 ExperimentConfig = namedtuple(
@@ -106,7 +108,7 @@ def _run_hmc_chunk(spec):
     for method in spec.methods:
         # the next method's turn frees va's logs before it runs
         logs = (safe_log(T), safe_log(p), safe_log(Psi)) if method == "va" else None
-        acc = {"bit_err": 0, "nu_c": 0.0, "nu_e": 0.0, "kld": 0.0, "wall": 0.0, "has_nu": False, "has_kld": False}
+        acc = {"bit_err": 0, "nu_c": 0.0, "nu_e": 0.0, "kld": 0.0, "wall": 0.0}
         tic = time.perf_counter()
         if method == "ml":
             est = batch_ml(Psi)
@@ -125,8 +127,7 @@ def _run_hmc_chunk(spec):
                 T, p, Psi, batch_ml(Psi), max_cycles=spec.max_cycles,
                 accelerated=method.endswith("acc"))
         acc["wall"] = time.perf_counter() - tic
-        if method in ("vb", "vb-acc", "fcvb", "fcvb-acc"):
-            acc["has_nu"] = True
+        if method in MEAN_FIELD_METHODS:
             acc["nu_c"] = float(nu_c.sum())
             acc["nu_e"] = float(nu_e.sum())
             if alpha is None:
@@ -135,7 +136,6 @@ def _run_hmc_chunk(spec):
                 kld = batch_kld(T, alpha, phat)
             else:
                 kld = batch_kld_labels(T, alpha, est)
-            acc["has_kld"] = True
             acc["kld"] = float(kld.sum())
         est_src = est % spec.M_src if spec.fading else est
         acc["bit_err"] = int(spec.bit_distance[src, est_src].sum())
@@ -158,18 +158,14 @@ def _map_chunks(worker, specs, jobs):
 
 
 def run_experiment(cfg):
-    """One (scenario, Eb/N0, rho) point; one result row dict per method.
-
-    Rows carry the pinned CSV fields plus an 'op_proxy' dict (per-trial
-    operation tallies at the measured effective cycle count) that the
-    CSV writer ignores.
-    """
+    """One (scenario, Eb/N0, rho) point; one result row dict per method."""
     if cfg.seed is None:
         raise ValueError("a seed is required")
     seed = int(cfg.seed)
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
     _check_counts(cfg.trials, cfg.chunk)
+    StoppingConfig(cfg.xi, cfg.max_cycles)
     for m in cfg.methods:
         if m not in HMC_METHODS:
             raise ValueError("unknown method %r" % (m,))
@@ -202,16 +198,11 @@ def run_experiment(cfg):
     rows = []
     for method in cfg.methods:
         agg = {"bit_err": 0, "nu_c": 0.0, "nu_e": 0.0, "kld": 0.0, "wall": 0.0}
-        has_nu = has_kld = False
         for part in partials:
-            a = part[method]
             for key in agg:
-                agg[key] += a[key]
-            has_nu = a["has_nu"]
-            has_kld = a["has_kld"]
+                agg[key] += part[method][key]
+        mean_field = method in MEAN_FIELD_METHODS
         ber = agg["bit_err"] / total_bits
-        nu_e_mean = agg["nu_e"] / cfg.trials if has_nu else None
-        proxy_nu = nu_e_mean if has_nu else 1.0
         rows.append({
             "method": method,
             "scenario": cfg.scenario,
@@ -223,12 +214,10 @@ def run_experiment(cfg):
             "trials": cfg.trials,
             "ber": ber,
             "ber_ci95": 1.96 * np.sqrt(max(ber * (1.0 - ber), 0.0) / total_bits),
-            "nu_c_mean": agg["nu_c"] / cfg.trials if has_nu else None,
-            "nu_e_mean": nu_e_mean,
-            "kld_mean": agg["kld"] / cfg.trials if has_kld else None,
+            "nu_c_mean": agg["nu_c"] / cfg.trials if mean_field else None,
+            "nu_e_mean": agg["nu_e"] / cfg.trials if mean_field else None,
+            "kld_mean": agg["kld"] / cfg.trials if mean_field else None,
             "wall_ms": 1000.0 * agg["wall"],
-            "op_proxy": op_count_proxy(
-                method.split("-")[0], cfg.n, means.shape[0], proxy_nu),
         })
     return rows
 

@@ -48,7 +48,6 @@ class Factor:
         self.table = np.ascontiguousarray(np.transpose(table, perm)).reshape(expect)
         self.M = int(M)
         self.tail_dims = tail_dims
-        self.log_scale = 0.0
 
     @property
     def index_set(self):

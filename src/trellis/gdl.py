@@ -6,8 +6,6 @@ by the no-longer-needed / first-appearance partitions, with exact
 operator tallies for both routes.
 """
 
-import math
-
 import numpy as np
 
 from .factors import Factor, eta_set, fa_partition, nln_partition, CITopology
@@ -50,9 +48,7 @@ def _combine(sr, f1, f2, counter):
     out = sr.combine(_aligned(f1, union), _aligned(f2, union))
     if counter is not None:
         counter.ring_product += f1.M ** len(union)
-    res = Factor(union, out, f1.M, tail_dims=sr.tail_dims)
-    res.log_scale = f1.log_scale + f2.log_scale
-    return res
+    return Factor(union, out, f1.M, tail_dims=sr.tail_dims)
 
 
 def _reduce(sr, f, kill, counter):
@@ -68,23 +64,10 @@ def _reduce(sr, f, kill, counter):
         vars_left.pop(ax)
         if counter is not None:
             counter.ring_sum += (M ** len(vars_left)) * (M - 1)
-    res = Factor(vars_left, table, M, tail_dims=sr.tail_dims)
-    res.log_scale = f.log_scale
-    return res
+    return Factor(vars_left, table, M, tail_dims=sr.tail_dims)
 
 
-def _maybe_rescale(f, sr, rescale):
-    if not rescale or sr.name != "sum-product":
-        return f
-    peak = float(np.max(f.table))
-    if peak > 0.0 and peak != 1.0:
-        res = Factor(f.vars, f.table / peak, f.M)
-        res.log_scale = f.log_scale + math.log(peak)
-        return res
-    return f
-
-
-def _sweep(sr, factors, kills, counter, rescale=False):
+def _sweep(sr, factors, kills, counter):
     """Fold the factors in order, eliminating kills[k] after taking in factors[k].
 
     Returns the tables as they stood before each elimination, and the
@@ -95,7 +78,7 @@ def _sweep(sr, factors, kills, counter, rescale=False):
     for g, kill in zip(factors, kills):
         u = g if cur is None else _combine(sr, g, cur, counter)
         before.append(u)
-        cur = _maybe_rescale(_reduce(sr, u, kill, counter), sr, rescale)
+        cur = _reduce(sr, u, kill, counter)
     return before, cur
 
 
@@ -124,7 +107,7 @@ def default_split(n):
     return (n + 1) // 2
 
 
-def fb_reduce_single(model, sr, S, i=None, counter=None, rescale=False):
+def fb_reduce_single(model, sr, S, i=None, counter=None):
     """Reduce over S via the split recursion; result domain is the complement.
 
     Forward steps eliminate the no-longer-needed part of S, backward
@@ -143,9 +126,8 @@ def fb_reduce_single(model, sr, S, i=None, counter=None, rescale=False):
         raise ValueError("split index must satisfy 1 <= i <= n-1")
     nln = nln_partition(model)
     fa = fa_partition(model)
-    _, fwd = _sweep(sr, model.factors[:i], [k & S for k in nln[:i]], counter, rescale)
-    _, bwd = _sweep(sr, model.factors[i:][::-1], [k & S for k in fa[i:][::-1]],
-                    counter, rescale)
+    _, fwd = _sweep(sr, model.factors[:i], [k & S for k in nln[:i]], counter)
+    _, bwd = _sweep(sr, model.factors[i:][::-1], [k & S for k in fa[i:][::-1]], counter)
     res = _reduce(sr, _combine(sr, bwd, fwd, counter), eta_set(model, i) & S, counter)
     assert res.index_set == model.universe - S
     return res

@@ -3,9 +3,12 @@
 Two mean-field schemes over the label chain: independent marginal
 updates (ivb_run, distributions per time step) and the functionally
 constrained point-mass variant (fcvb_run, hard labels per time step).
-Both sweep i = 1..n repeatedly, support an accelerated scheduler that
-skips steps whose neighbourhood did not move, and report cycle counts:
-nu_c counts full sweeps, nu_e is total single-step updates divided by n.
+Both sweep i = 1..n repeatedly on one schedule, which skips a step
+until a neighbour moves; the plain sweep re-wakes every step of an
+unconverged trial after each cycle, the accelerated one does not. A
+run stops once no step is left due, and tau flags the steps still due.
+Cycle counts: nu_c counts full sweeps, nu_e is total single-step
+updates divided by n.
 The sweeps run in trellis.batch; kld_vb, from the posterior's chain
 factors, is the reference for the batch divergence.
 """
@@ -20,8 +23,8 @@ from .numerics import safe_log
 
 class StoppingConfig:
     def __init__(self, xi=0.01, max_cycles=100, accelerated=False):
-        if xi < 0:
-            raise ValueError("xi must be non-negative")
+        if not xi >= 0:
+            raise ValueError("xi must be non-negative, got %r" % (xi,))
         if max_cycles < 1:
             raise ValueError("max_cycles must be positive")
         self.xi = float(xi)

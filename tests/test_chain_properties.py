@@ -1,6 +1,7 @@
 """Property tests of the chain kernels against the enumerated posterior,
-and of the forward-only pass and the point-mass divergence against the
-full pass and the one-hot divergence they must equal bit for bit.
+of the forward-only pass and the point-mass divergence against the
+full pass and the one-hot divergence they must equal bit for bit, and
+of the plain mean-field schedule against the accelerated one.
 
 Models are drawn with zero entries in the transition matrix and the
 start pmf, likelihood entries down to 1e-30 and blocks of several
@@ -174,3 +175,37 @@ def test_mean_field_rows_match_their_single_runs(block, accelerated):
         assert (pm[1][0], pm[2][0], pm[3][0]) == (mu_c[b], mu_e[b], mconv[b])
         assert np.array_equal(pm[4][0], mtau[b])
         assert nu_e[b] <= nu_c[b] and mu_e[b] <= mu_c[b]
+
+
+@SETTINGS
+@given(chain_blocks())
+def test_accelerated_sweeps_reach_the_plain_fixed_point(block):
+    # the lemma of the skipping schedule: at xi=0 it stops at the plain
+    # sweep's fixed point after as many cycles, with at most its updates
+    T, p0, Psi = block
+    init = Psi / Psi.sum(axis=2, keepdims=True)
+    plain, accel = (marginal_sweep(T, p0, Psi, init, xi=0.0, max_cycles=60,
+                                   accelerated=a) for a in (False, True))
+    assert plain[0].tobytes() == accel[0].tobytes()
+    assert np.array_equal(plain[1], accel[1]) and np.array_equal(plain[3], accel[3])
+    assert np.all(accel[2] <= plain[2])
+    start = np.argmax(Psi, axis=2)
+    plain, accel = (point_mass_sweep(T, p0, Psi, start, max_cycles=60, accelerated=a)
+                    for a in (False, True))
+    assert np.array_equal(plain[0], accel[0])
+    assert np.array_equal(plain[1], accel[1]) and np.array_equal(plain[3], accel[3])
+    assert np.all(accel[2] <= plain[2])
+
+
+@SETTINGS
+@given(chain_blocks(), st.sampled_from([1, 2, 60]))
+def test_plain_sweep_tau_flags_the_steps_still_due(block, max_cycles):
+    # none for a converged trial, every step for one cut at max_cycles
+    T, p0, Psi = block
+    init = Psi / Psi.sum(axis=2, keepdims=True)
+    runs = (marginal_sweep(T, p0, Psi, init, xi=0.0, max_cycles=max_cycles)[1:5],
+            point_mass_sweep(T, p0, Psi, np.argmax(Psi, axis=2), max_cycles=max_cycles)[1:5])
+    for nu_c, _, converged, tau in runs:
+        assert not tau[converged].any()
+        assert tau[~converged].all()
+        assert np.all(nu_c[~converged] == max_cycles)

@@ -71,6 +71,9 @@ def test_missing_seed_is_config_error(capsys):
     (["freq", "--chunk", "0"], "chunk"),
     (["freq", "--trials", "0"], "trials"),
     (["hmc-awgn", "--trials", "0"], "trials"),
+    (["hmc-awgn", "--max-cycles", "0"], "max_cycles"),
+    (["hmc-awgn", "--xi", "-1"], "xi"),
+    (["hmc-awgn", "--xi", "nan"], "xi"),
 ])
 def test_non_positive_counts_are_config_errors(argv, word, capsys):
     rc = main(argv + ["--seed", "1", "--n", "8", "--ebn0", "10"])
