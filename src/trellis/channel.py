@@ -116,6 +116,8 @@ def rayleigh_quantizer(K, sigma2=0.5):
     if K < 1:
         raise ValueError("K must be positive")
     s2 = float(sigma2)
+    if not 0.0 < s2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite, got %r" % (sigma2,))
     thr = np.empty(K + 1)
     thr[0] = 0.0
     k = np.arange(1, K)
@@ -145,15 +147,31 @@ def rayleigh_pair_logpdf(gi, gj, rho, sigma2):
     return out
 
 
+# one matrix per (K, rho, sigma2, thresholds) in this process; the CLI and
+# the experiment runners build the same T_c for every Eb/N0 point
+_TC_MEMO = {}
+
+
 def channel_transition_matrix(K, rho, sigma2=0.5, quantizer=None):
     """Column-stochastic K x K gain-cell transition matrix.
 
     Cell-pair masses of the bivariate Rayleigh density are integrated
     over the quantizer rectangles and columns are renormalized (the
     top cell is truncated, so the raw masses fall slightly short).
+    Each (K, rho, sigma2, quantizer thresholds) is integrated once per
+    process; every call returns its own copy.
     """
+    r = float(rho)
+    if not 0.0 <= r < 1.0:
+        raise ValueError("rho must be in [0, 1), got %r" % (rho,))
     q = quantizer if quantizer is not None else rayleigh_quantizer(K, sigma2)
-    thr = q.thresholds
+    key = (K, r, float(sigma2), q.thresholds.tobytes())
+    if key not in _TC_MEMO:
+        _TC_MEMO[key] = _transition_matrix(K, r, sigma2, q.thresholds)
+    return _TC_MEMO[key].copy()
+
+
+def _transition_matrix(K, rho, sigma2, thr):
     # near rho = 1 the density rides a diagonal ridge of conditional width
     # sqrt(s2 (1 - rho^2)); tile wide cells down to that scale so each
     # tile's interval doubling resolves it
@@ -166,13 +184,26 @@ def channel_transition_matrix(K, rho, sigma2=0.5, quantizer=None):
         pieces = max(1, int(np.ceil((hi - lo) / (12.0 * ridge))))
         return np.linspace(lo, hi, pieces + 1)
 
+    # every operation in the density commutes, so f(gi, gj) == f(gj, gi)
+    # bit for bit and a tile's mirror image is integrated from its grid
+    pending = {}
+
+    def tile(ax, bx, ay, by):
+        key = (ax, bx, ay, by)
+        if key not in pending:
+            if (ax, bx) == (ay, by):
+                return adaptive_simpson_2d(f, ax, bx, ay, by, atol=1e-12)
+            pending[key], pending[(ay, by, ax, bx)] = adaptive_simpson_2d(
+                f, ax, bx, ay, by, atol=1e-12, mirror=True)
+        return pending.pop(key)
+
     def cell(ci, cj):
         xs = axis_knots(thr[ci], thr[ci + 1])
         ys = axis_knots(thr[cj], thr[cj + 1])
         total = 0.0
         for ax, bx in zip(xs[:-1], xs[1:]):
             for ay, by in zip(ys[:-1], ys[1:]):
-                total += adaptive_simpson_2d(f, ax, bx, ay, by, atol=1e-12)
+                total += tile(ax, bx, ay, by)
         return total
 
     Tc = np.empty((K, K))

@@ -285,13 +285,13 @@ def _cmd_pe_demo(args):
 def _selftest_checks():
     from .batch import (batch_forward, batch_kld, batch_kld_labels, forward_backward,
                         marginal_sweep, point_mass_sweep)
-    from .channel import rayleigh_quantizer
+    from .channel import channel_transition_matrix, rayleigh_pair_logpdf, rayleigh_quantizer
     from .factors import Factor, FactorModel, VariableSpace
     from .freq import FreqPrior, dft_grid, freq_posterior, kay_weights, tvb_freq, vb_freq
     from .gdl import dual_entropy, fb_reduce_sequential, fb_reduce_single, naive_reduce
     from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
                       fb_algorithm, viterbi)
-    from .numerics import adaptive_simpson_2d
+    from .numerics import adaptive_simpson_2d, simpson_2d
     from .pe import pe_logpdf, pe_model
     from .semiring import ALL_SEMIRINGS, check_laws, semiring
 
@@ -387,6 +387,31 @@ def _selftest_checks():
         q = rayleigh_quantizer(2, 0.5)
         assert abs(q.thresholds[1] - np.sqrt(np.log(2.0))) < 1e-12
 
+    def check_channel_quadrature():
+        # every cell on its own with a fresh grid at every level, against
+        # the build that reuses coarser levels and mirrored cells; fixed
+        # inputs, so the checks after it see the same draws. At rho = 0.7
+        # no cell is cut into tiles.
+        K, rho, s2 = 3, 0.7, 0.5
+        thr = rayleigh_quantizer(K, s2).thresholds
+
+        def f(gi, gj):
+            return np.exp(rayleigh_pair_logpdf(gi, gj, rho, s2))
+
+        ref = np.empty((K, K))
+        for ci in range(K):
+            for cj in range(K):
+                edges = (thr[ci], thr[ci + 1], thr[cj], thr[cj + 1])
+                prev = simpson_2d(f, *edges, 64)
+                for n in (128, 256, 512, 1024, 2048):
+                    cur = simpson_2d(f, *edges, n)
+                    if abs(cur - prev) <= max(1e-8 * abs(cur), 1e-12):
+                        break
+                    prev = cur
+                ref[ci, cj] = K * cur
+        ref /= ref.sum(axis=0, keepdims=True)
+        assert channel_transition_matrix(K, rho, s2).tobytes() == ref.tobytes()
+
     def check_kay_weights():
         assert abs(kay_weights(64).sum() - 1.0) < 1e-12
 
@@ -435,6 +460,7 @@ def _selftest_checks():
         ("point-mass divergence vs one-hot", check_point_mass_divergence),
         ("accelerated sweep equivalence", check_lemma_equivalence),
         ("quantizer threshold", check_quantizer_threshold),
+        ("channel quadrature vs fresh grids", check_channel_quadrature),
         ("phase-increment weights", check_kay_weights),
         ("freq_batch_rows", check_freq_batch_rows),
         ("dual-number cross entropy", check_dual_entropy),

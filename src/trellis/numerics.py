@@ -3,6 +3,12 @@
 Bessel evaluations use a power series on |x| <= 15 and the standard
 asymptotic forms beyond; quadrature is composite Simpson with adaptive
 interval doubling.
+
+The 2-D doubling reuses every value of the previous level, so an
+integrand must be pointwise: f's value at a point may not depend on the
+other points of the call. Elementwise numpy arithmetic is; so are
+`bessel_i0_log` (the series terms one element runs beyond its own need
+are below half an ulp of its sum) and the pe integrands.
 """
 
 import numpy as np
@@ -11,6 +17,10 @@ import numpy as np
 LOG0 = -1.0e10
 
 _BESSEL_SWITCH = 15.0
+# upper edges of the |x| bands of the I0 series; the bands up to the
+# switch run the power series, the rest the asymptotic correction
+_I0_BANDS = (1.0, 3.0, 7.0, _BESSEL_SWITCH, 30.0, 60.0, 120.0)
+_I0_SERIES_BANDS = _I0_BANDS.index(_BESSEL_SWITCH) + 1
 
 
 def safe_log(x):
@@ -57,30 +67,38 @@ def bessel_i0_log(x):
     x = np.atleast_1d(np.abs(x))  # I0 is even
     out = np.empty_like(x)
 
-    small = x <= _BESSEL_SWITCH
-    if np.any(small):
-        xs = x[small]
-        q = xs * xs / 4.0
-        term = np.ones_like(xs)
-        acc = np.ones_like(xs)
-        for j in range(1, 80):
-            term = term * q / (j * j)
-            acc += term
-            if np.all(term < 1e-18 * acc):
-                break
-        out[small] = np.log(acc)
-    if np.any(~small):
-        xl = x[~small]
-        # correction series 1 + sum_k prod(2j-1)^2 / (k! (8x)^k); truncated
-        # where the divergent tail turns, well below 1e-13 at the switch
-        term = np.ones_like(xl)
-        acc = np.ones_like(xl)
-        for k in range(1, 30):
-            term = term * (2 * k - 1) ** 2 / (k * 8.0 * xl)
-            acc += term
-            if np.all(term < 1e-16 * acc):
-                break
-        out[~small] = xl - 0.5 * np.log(2.0 * np.pi * xl) + np.log(acc)
+    # each band of |x| runs its own series, so an element stops near its
+    # own need, not its array's largest; a term below 1e-18 * acc (1e-16 *
+    # acc in the asymptotic series, where acc < 1.01) is under half an ulp
+    # of acc, so the few terms a band runs past an element's need, or the
+    # whole array would have run, leave it unchanged bit for bit
+    band = np.searchsorted(_I0_BANDS, x)
+    for b in range(len(_I0_BANDS) + 1):
+        sel = band == b
+        if not np.any(sel):
+            continue
+        xb = x[sel]
+        term = np.ones_like(xb)
+        acc = np.ones_like(xb)
+        if b < _I0_SERIES_BANDS:
+            q = xb * xb / 4.0
+            for j in range(1, 80):
+                term *= q
+                term /= j * j
+                acc += term
+                if j % 4 == 0 and np.all(term < 1e-18 * acc):
+                    break
+            out[sel] = np.log(acc)
+        else:
+            # correction series 1 + sum_k prod(2j-1)^2 / (k! (8x)^k); truncated
+            # where the divergent tail turns, well below 1e-13 at the switch
+            for k in range(1, 30):
+                term *= (2 * k - 1) ** 2
+                term /= k * 8.0 * xb
+                acc += term
+                if k % 4 == 0 and np.all(term < 1e-16 * acc):
+                    break
+            out[sel] = xb - 0.5 * np.log(2.0 * np.pi * xb) + np.log(acc)
     return float(out[0]) if scalar else out
 
 
@@ -125,22 +143,61 @@ def simpson_2d(f, ax, bx, ay, by, n):
     return hx * hy * np.dot(w, np.dot(vals, w))
 
 
-def adaptive_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=2048):
+def _refine(f, coarse, x, y):
+    """The grid on x by y (2n+1 points each) whose even rows and columns are coarse.
+
+    linspace(a, b, 2n+1)[::2] equals linspace(a, b, n+1) bit for bit, so
+    only the new points are evaluated. f gets contiguous coordinates, as
+    on a fresh grid.
+    """
+    fine = np.empty((x.size, y.size))
+    fine[::2, ::2] = coarse
+    fine[1::2] = f(x[1::2].copy()[:, None], y[None, :])
+    fine[::2, 1::2] = f(x[::2].copy()[:, None], y[1::2].copy()[None, :])
+    return fine
+
+
+def adaptive_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=2048,
+                        mirror=False):
     """Tensor Simpson with interval-count doubling until the change is small.
 
     Stops once |cur - prev| <= max(rtol * |cur|, atol); a non-zero atol
     lets negligible panels of a tiled integral converge without chasing
-    relative accuracy on mass that cannot matter.
+    relative accuracy on mass that cannot matter. Each level evaluates f
+    only at the points the previous level lacks (f must be pointwise, see
+    the module docstring) and sums the assembled grid as `simpson_2d`
+    does, so the result equals fresh grids at every level bit for bit.
+
+    mirror=True also integrates over the mirror rectangle [ay,by] x [ax,bx]
+    from the same values and returns the pair (this, mirror). f must then
+    be symmetric bit for bit, f(x, y) == f(y, x). The mirror's sums run on
+    a contiguous copy of the transposed grid, as a fresh grid of that
+    rectangle would be laid out, and it stops on its own.
     """
-    n = n0
-    prev = simpson_2d(f, ax, bx, ay, by, n)
-    while n < n_max:
+    n, vals = n0, None
+    live = [0, 1] if mirror else [0]
+    prev = [None, None]
+    done = [None, None]
+    while True:
+        x = np.linspace(ax, bx, n + 1)
+        y = np.linspace(ay, by, n + 1)
+        vals = f(x[:, None], y[None, :]) if vals is None else _refine(f, vals, x, y)
+        hx = (bx - ax) / n
+        hy = (by - ay) / n
+        w = simpson_weights(n)
+        for i in list(live):
+            grid = vals if i == 0 else np.ascontiguousarray(vals.T)
+            cur = hx * hy * np.dot(w, np.dot(grid, w))
+            if prev[i] is not None and \
+                    abs(cur - prev[i]) <= max(rtol * max(abs(cur), 1e-300), atol):
+                done[i] = cur
+                live.remove(i)
+            prev[i] = cur
+        if not live:
+            return tuple(done) if mirror else done[0]
+        if n >= n_max:
+            raise RuntimeError("2-D Simpson did not converge to rtol=%g" % rtol)
         n *= 2
-        cur = simpson_2d(f, ax, bx, ay, by, n)
-        if abs(cur - prev) <= max(rtol * max(abs(cur), 1e-300), atol):
-            return cur
-        prev = cur
-    raise RuntimeError("2-D Simpson did not converge to rtol=%g" % rtol)
 
 
 def log_normalize(logw):

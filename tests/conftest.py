@@ -2,6 +2,7 @@ import numpy as np
 
 from trellis.factors import Factor, FactorModel, VariableSpace
 from trellis.hmc import HmcModel
+from trellis.numerics import simpson_2d
 
 # acceptance tests append their "[criterion k] PASS/FAIL ..." lines here;
 # echoed as one block after the run so capture mode cannot hide them
@@ -48,3 +49,52 @@ def random_factor_model(rng, sr, m_max=6, M_max=3, n_max=6):
         shape = (M,) * len(o)
         factors.append(Factor(o, sr.sample(rng, shape), M, tail_dims=sr.tail_dims))
     return FactorModel(VariableSpace(m, M), factors)
+
+
+def reference_bessel_i0_log(x):
+    """log I0 with one series over the whole array, as first written.
+
+    Every element runs as many terms as the array's slowest one needs;
+    the banded `bessel_i0_log` must equal it bit for bit.
+    """
+    x = np.atleast_1d(np.abs(np.asarray(x, dtype=float)))
+    out = np.empty_like(x)
+    small = x <= 15.0
+    if np.any(small):
+        xs = x[small]
+        q = xs * xs / 4.0
+        term = np.ones_like(xs)
+        acc = np.ones_like(xs)
+        for j in range(1, 80):
+            term = term * q / (j * j)
+            acc += term
+            if np.all(term < 1e-18 * acc):
+                break
+        out[small] = np.log(acc)
+    if np.any(~small):
+        xl = x[~small]
+        term = np.ones_like(xl)
+        acc = np.ones_like(xl)
+        for k in range(1, 30):
+            term = term * (2 * k - 1) ** 2 / (k * 8.0 * xl)
+            acc += term
+            if np.all(term < 1e-16 * acc):
+                break
+        out[~small] = xl - 0.5 * np.log(2.0 * np.pi * xl) + np.log(acc)
+    return out
+
+
+def fresh_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=2048):
+    """`adaptive_simpson_2d` with every level on a fresh grid, as first written.
+
+    Returns the value and the level it stopped at.
+    """
+    n = n0
+    prev = simpson_2d(f, ax, bx, ay, by, n)
+    while n < n_max:
+        n *= 2
+        cur = simpson_2d(f, ax, bx, ay, by, n)
+        if abs(cur - prev) <= max(rtol * max(abs(cur), 1e-300), atol):
+            return cur, n
+        prev = cur
+    raise RuntimeError("no convergence")

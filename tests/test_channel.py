@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import integrate
 
+from conftest import fresh_simpson_2d, reference_bessel_i0_log
+from trellis import channel
 from trellis.channel import (
     QamConstellation,
     augmented_model,
@@ -19,6 +21,7 @@ from trellis.channel import (
     snr_to_n0,
 )
 from trellis.hmc import HmcModel, brute_force_posterior, fb_algorithm
+from trellis.numerics import safe_log
 
 
 @pytest.mark.parametrize("M", [2, 4, 16, 64])
@@ -139,6 +142,108 @@ def test_transition_matrix_high_correlation_is_diagonal_heavy():
     Tc = channel_transition_matrix(4, rho=0.999)
     assert np.all(np.diag(Tc) > 0.9)
     assert_allclose(Tc.sum(axis=0), 1.0, atol=1e-12)
+
+
+def _reference_transition_matrix(K, rho, sigma2=0.5):
+    # the quadrature as first written: every cell and tile on its own, a
+    # fresh grid at every level and one I0 series over each whole grid
+    thr = rayleigh_quantizer(K, sigma2).thresholds
+    s2, qq = float(sigma2), 1.0 - rho * rho
+    ridge = np.sqrt(s2 * (1.0 - rho ** 2))
+
+    def f(gi, gj):
+        out = safe_log(gi) + safe_log(gj) - np.log(s2 * s2 * qq)
+        out = out - (gi ** 2 + gj ** 2) / (2.0 * s2 * qq)
+        if rho > 0.0:
+            out = out + reference_bessel_i0_log(gi * gj * rho / (s2 * qq))
+        return np.exp(out)
+
+    def knots(lo, hi):
+        return np.linspace(lo, hi, max(1, int(np.ceil((hi - lo) / (12.0 * ridge)))) + 1)
+
+    Tc = np.empty((K, K))
+    for ci in range(K):
+        for cj in range(K):
+            xs, ys = knots(thr[ci], thr[ci + 1]), knots(thr[cj], thr[cj + 1])
+            total = 0.0
+            for ax, bx in zip(xs[:-1], xs[1:]):
+                for ay, by in zip(ys[:-1], ys[1:]):
+                    total += fresh_simpson_2d(f, ax, bx, ay, by, atol=1e-12)[0]
+            Tc[ci, cj] = K * total
+    Tc /= Tc.sum(axis=0, keepdims=True)
+    return Tc
+
+
+@pytest.fixture
+def empty_memo(monkeypatch):
+    memo = {}
+    monkeypatch.setattr(channel, "_TC_MEMO", memo, raising=False)
+    return memo
+
+
+@pytest.mark.parametrize("K, rho", [(K, rho) for K in (1, 2, 3, 4) for rho in (0.0, 0.5, 0.9)]
+                         + [(2, 0.99)])
+def test_transition_matrix_equals_fresh_grid_quadrature(K, rho, empty_memo):
+    if rho == 0.99:  # the top cell is cut into ridge-wide tiles
+        ridge = np.sqrt(0.5 * (1.0 - rho ** 2))
+        thr = rayleigh_quantizer(K).thresholds
+        assert thr[K] - thr[K - 1] > 3 * 12.0 * ridge
+    got = channel_transition_matrix(K, rho)
+    assert got.tobytes() == _reference_transition_matrix(K, rho).tobytes()
+
+
+def test_transition_matrix_evaluates_each_point_once(monkeypatch, empty_memo):
+    # fresh grids at every level and every cell on its own took the
+    # density at 2,638,382 points for this matrix
+    points = []
+    density = channel.rayleigh_pair_logpdf
+
+    def counting(gi, gj, rho, sigma2):
+        points.append(np.broadcast(gi, gj).size)
+        return density(gi, gj, rho, sigma2)
+
+    monkeypatch.setattr(channel, "rayleigh_pair_logpdf", counting)
+    channel_transition_matrix(4, 0.5)
+    assert 0 < sum(points) <= 0.45 * 2638382
+
+
+def test_transition_matrix_memo(monkeypatch, empty_memo):
+    builds = []
+    build = channel._transition_matrix
+
+    def counting(*args):
+        builds.append(args[:3])
+        return build(*args)
+
+    monkeypatch.setattr(channel, "_transition_matrix", counting)
+    a = channel_transition_matrix(3, 0.5)
+    a[0, 0] = -1.0
+    b = channel_transition_matrix(3, 0.5, quantizer=rayleigh_quantizer(3))
+    assert b[0, 0] > 0.0 and not np.shares_memory(a, b)
+    assert channel_transition_matrix(3, 0.5).tobytes() == b.tobytes()
+    assert len(builds) == 1 and len(empty_memo) == 1
+    # sigma2 and the thresholds are both part of the key
+    c = channel_transition_matrix(3, 0.5, sigma2=0.7)
+    d = channel_transition_matrix(3, 0.5, quantizer=rayleigh_quantizer(3, 0.7))
+    assert len(builds) == 3 and len(empty_memo) == 3
+    assert not np.array_equal(c, b) and not np.array_equal(d, b)
+
+
+@pytest.mark.parametrize("rho", [1.0, 1.5, -0.1, float("nan"), float("inf")])
+def test_transition_matrix_rejects_rho_outside_unit_interval(rho, monkeypatch, empty_memo):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before rho was checked")
+
+    monkeypatch.setattr(channel, "rayleigh_quantizer", no_work)
+    with pytest.raises(ValueError, match="rho"):
+        channel_transition_matrix(4, rho)
+    assert not empty_memo
+
+
+@pytest.mark.parametrize("sigma2", [0.0, -1.0, float("nan"), float("inf")])
+def test_quantizer_rejects_bad_sigma2(sigma2):
+    with pytest.raises(ValueError, match="sigma2"):
+        rayleigh_quantizer(4, sigma2)
 
 
 def test_augmented_kron_columns():

@@ -113,6 +113,26 @@ def test_fading_requires_correlation(capsys):
     assert "--rho" in err and "--fdts" in err
 
 
+@pytest.mark.parametrize("flag, word", [
+    ("--rho=1.0", "rho"),
+    ("--rho=1.5", "rho"),
+    ("--rho=nan", "rho"),
+    ("--fdts=0", "rho"),
+    ("--sigma2=0", "sigma2"),
+    ("--sigma2=-1", "sigma2"),
+    ("--sigma2=nan", "sigma2"),
+    ("--sigma2=inf", "sigma2"),
+])
+def test_fading_model_out_of_range_is_config_error(flag, word, capsys):
+    argv = ["hmc-fading", "--seed", "1", "--trials", "2", "--n", "8", "--k", "2"]
+    if flag.startswith("--sigma2"):
+        argv.append("--rho=0.5")
+    rc = main(argv + [flag])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and word in err and "Traceback" not in err
+
+
 def test_gdl_count_worked_example(tmp_path, capsys):
     path = str(tmp_path / "ex5.model")
     save_model(_ex5_model(), path)

@@ -5,6 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
+from conftest import fresh_simpson_2d, reference_bessel_i0_log
+
 from trellis.numerics import (
     LOG0,
     adaptive_simpson_1d,
@@ -125,3 +127,74 @@ def test_log_normalize_rows_equal_single_calls():
 def test_log_normalize_extreme_range():
     out = log_normalize(np.array([0.0, -1e9, -2e9]))
     assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-300)
+
+
+def test_bessel_i0_log_bands_equal_whole_array_series():
+    edges = np.array([0.0, 1.0, 3.0, 7.0, 15.0, 30.0, 60.0, 120.0])
+    z = np.concatenate([
+        np.linspace(0.0, 200.0, 400001),
+        np.geomspace(1e-300, 1e5, 5000),
+        edges, np.nextafter(edges, np.inf), np.nextafter(edges[1:], 0.0),
+    ])
+    got = bessel_i0_log(z)
+    assert got.tobytes() == reference_bessel_i0_log(z).tobytes()
+    # and each element alone, on both sides of every band edge
+    for v in np.concatenate([edges, np.nextafter(edges, np.inf)]):
+        assert bessel_i0_log(v) == reference_bessel_i0_log(v)[0]
+        assert bessel_i0_log(-v) == bessel_i0_log(v)
+
+
+def test_nested_simpson_equals_fresh_grids_non_separable():
+    def f(x, y):
+        return np.exp(-(x * x + y * y) + 1.5 * x * y) * np.log1p(x * x * y + 2.0)
+
+    for rect in [(0.0, 1.0, 0.0, 3.0), (-1.0, 2.0, 0.5, 4.0)]:
+        for rtol in (1e-6, 1e-11):
+            ref, n = fresh_simpson_2d(f, *rect, rtol=rtol, n0=8)
+            assert n > 16
+            assert adaptive_simpson_2d(f, *rect, rtol=rtol, n0=8) == ref
+
+
+def test_nested_simpson_equals_fresh_grids_pe_integrand():
+    from trellis.pe import pe_logpdf, pe_model, pe_vb
+
+    model = pe_model(0.8)
+    (f1, f2), _ = pe_vb(model)
+
+    def integrand(x, y):
+        lf = f1.logpdf(x) + f2.logpdf(y)
+        return np.exp(lf) * (lf - pe_logpdf(x, y, model))
+
+    ref, n = fresh_simpson_2d(integrand, f1.lo, f1.hi, f2.lo, f2.hi, rtol=1e-7)
+    assert n > 64
+    assert adaptive_simpson_2d(integrand, f1.lo, f1.hi, f2.lo, f2.hi, rtol=1e-7) == ref
+
+
+def test_mirrored_simpson_stops_each_orientation_on_its_own():
+    def g(x, y):
+        return np.exp(-(x * x + y * y) + 1.5 * x * y)
+
+    rect, mirror = (0.0, 1.0, 0.0, 3.0), (0.0, 3.0, 0.0, 1.0)
+    # the two orientations round their level-32 sums differently; a rtol
+    # between their relative changes stops one at 32 and not the other
+    change = []
+    for r in (rect, mirror):
+        a, b = simpson_2d(g, *r, 16), simpson_2d(g, *r, 32)
+        change.append(abs(b - a) / abs(b))
+    assert change[0] != change[1]
+    rtol = 0.5 * (change[0] + change[1])
+    ref = [fresh_simpson_2d(g, *r, rtol=rtol, n0=16) for r in (rect, mirror)]
+    assert ref[0][1] != ref[1][1]
+    got = adaptive_simpson_2d(g, *rect, rtol=rtol, n0=16, mirror=True)
+    assert np.array(got).tobytes() == np.array([ref[0][0], ref[1][0]]).tobytes()
+    assert adaptive_simpson_2d(g, *rect, rtol=rtol, n0=16) == ref[0][0]
+
+
+def test_adaptive_simpson_2d_raises_at_n_max():
+    def f(x, y):
+        return np.exp(-(x * x + y * y) / 2.0)
+
+    with pytest.raises(RuntimeError):
+        adaptive_simpson_2d(f, -6, 6, -6, 6, rtol=0.0, n0=4, n_max=16)
+    with pytest.raises(RuntimeError):
+        adaptive_simpson_2d(f, -6, 6, -1, 1, rtol=0.0, n0=4, n_max=16, mirror=True)
