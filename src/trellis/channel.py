@@ -165,6 +165,9 @@ def channel_transition_matrix(K, rho, sigma2=0.5, quantizer=None):
     if not 0.0 <= r < 1.0:
         raise ValueError("rho must be in [0, 1), got %r" % (rho,))
     q = quantizer if quantizer is not None else rayleigh_quantizer(K, sigma2)
+    if K == 1:
+        # one cell: its column normalizes to 1.0 exactly, whatever it integrates to
+        return np.ones((1, 1))
     key = (K, r, float(sigma2), q.thresholds.tobytes())
     if key not in _TC_MEMO:
         _TC_MEMO[key] = _transition_matrix(K, r, sigma2, q.thresholds)

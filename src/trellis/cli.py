@@ -1,6 +1,7 @@
 """Command-line front end: experiment runners, model utilities, selftest.
 
-Exit codes: 0 success, 1 configuration error, 2 selftest failure. A
+Exit codes: 0 success, 1 configuration error, 2 selftest failure. Any
+ValueError from a subcommand is reported as a configuration error. A
 `--config file` of key=value lines overrides flags of the same name.
 Every CSV starts with a one-line manifest comment (tool version,
 subcommand, resolved settings) so a run can be replayed exactly.
@@ -14,7 +15,7 @@ import numpy as np
 from . import __version__
 
 
-class _ConfigError(Exception):
+class _ConfigError(ValueError):
     def __init__(self, message, usage_shown=False):
         super().__init__(message)
         self.usage_shown = usage_shown
@@ -59,7 +60,7 @@ def build_parser():
 
     sp = sub.add_parser("hmc-awgn", help="symbol detection over a memoryless Gaussian channel")
     common(sp, trials=1000, n=1000)
-    sp.add_argument("--scenario", default="awgn", choices=["awgn"])
+    sp.set_defaults(scenario="awgn")
     sp.add_argument("--m", type=int, default=4)
     sp.add_argument("--ebn0", default="6,10,14", help="comma list of dB values")
     sp.add_argument("--methods", default="ml,fb,va,vb,fcvb")
@@ -68,7 +69,7 @@ def build_parser():
 
     sp = sub.add_parser("hmc-fading", help="symbol detection over quantized Rayleigh fading")
     common(sp, trials=1000, n=1000)
-    sp.add_argument("--scenario", default="fading", choices=["fading"])
+    sp.set_defaults(scenario="fading")
     sp.add_argument("--m", type=int, default=4)
     sp.add_argument("--k", type=int, default=8)
     sp.add_argument("--ebn0", default="30")
@@ -140,11 +141,6 @@ def _manifest(args, skip=("config", "plot_data")):
     return " ".join(pairs)
 
 
-def _require_seed(args):
-    if args.seed is None:
-        raise _ConfigError("--seed is required for experiment runs")
-
-
 def _sort_key(row):
     return (
         row["scenario"], row["M"], row["K"] or 0, row["ebn0_db"],
@@ -153,28 +149,29 @@ def _sort_key(row):
     )
 
 
-def _write_plot_data(path, rows, x_field, metrics):
+def _methods(args):
+    return tuple(m.strip() for m in args.methods.split(",") if m.strip())
+
+
+def _write(args, header, rows, x_field=None, metrics=()):
+    """The CSV with its manifest, then the long form of metrics if --plot-data is set."""
     from .experiments import write_csv
 
-    long_rows = []
-    for row in rows:
-        for metric in metrics:
-            if row.get(metric) is None:
-                continue
-            long_rows.append({
-                "method": row["method"], "x_name": x_field,
-                "x_value": row[x_field], "metric": metric,
-                "value": row[metric],
-            })
-    write_csv(path, ["method", "x_name", "x_value", "metric", "value"], long_rows)
+    write_csv(args.out, header, rows, _manifest(args))
+    if getattr(args, "plot_data", None):
+        long_rows = [
+            {"method": row["method"], "x_name": x_field, "x_value": row[x_field],
+             "metric": metric, "value": row[metric]}
+            for row in rows for metric in metrics if row.get(metric) is not None]
+        write_csv(args.plot_data, ["method", "x_name", "x_value", "metric", "value"],
+                  long_rows)
+    return 0
 
 
 def _cmd_hmc(args):
     from .channel import rho_from_doppler
-    from .experiments import ExperimentConfig, HMC_CSV_HEADER, run_experiment, write_csv
+    from .experiments import ExperimentConfig, HMC_CSV_HEADER, run_experiment
 
-    _require_seed(args)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     ebn0s = _csv_floats(args.ebn0)
     if args.cmd == "hmc-fading":
         if args.rho is not None:
@@ -190,46 +187,30 @@ def _cmd_hmc(args):
         K = 1
         sigma2 = 0.5
     rows = []
-    try:
-        for e in ebn0s:
-            for rho in rhos:
-                cfg = ExperimentConfig(
-                    scenario=args.scenario, M=args.m, K=K, ebn0_db=e, rho=rho,
-                    n=args.n, trials=args.trials, seed=args.seed, methods=methods,
-                    xi=args.xi, max_cycles=args.max_cycles, chunk=args.chunk,
-                    jobs=args.jobs, sigma2=sigma2)
-                rows.extend(run_experiment(cfg))
-    except ValueError as e:
-        raise _ConfigError(str(e))
+    for e in ebn0s:
+        for rho in rhos:
+            rows.extend(run_experiment(ExperimentConfig(
+                scenario=args.scenario, M=args.m, K=K, ebn0_db=e, rho=rho,
+                n=args.n, trials=args.trials, seed=args.seed, methods=_methods(args),
+                xi=args.xi, max_cycles=args.max_cycles, chunk=args.chunk,
+                jobs=args.jobs, sigma2=sigma2)))
     rows.sort(key=_sort_key)
-    write_csv(args.out, HMC_CSV_HEADER, rows, _manifest(args))
-    if args.plot_data:
-        x = "rho" if args.cmd == "hmc-fading" and len(rhos) > 1 else "ebn0_db"
-        _write_plot_data(args.plot_data, rows, x,
-                         ["ber", "ber_ci95", "nu_c_mean", "nu_e_mean", "kld_mean", "wall_ms"])
-    return 0
+    return _write(args, HMC_CSV_HEADER, rows, "rho" if len(rhos) > 1 else "ebn0_db",
+                  ["ber", "ber_ci95", "nu_c_mean", "nu_e_mean", "kld_mean", "wall_ms"])
 
 
 def _cmd_freq(args):
-    from .experiments import FREQ_CSV_HEADER, run_freq_experiment, write_csv
+    from .experiments import FREQ_CSV_HEADER, run_freq_experiment
 
-    _require_seed(args)
-    methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
     rows = []
-    try:
-        for snr in _csv_floats(args.ebn0):
-            rows.extend(run_freq_experiment(
-                n=args.n, snr_db=snr, trials=args.trials, seed=args.seed,
-                omega_bins=args.omega_bins, pad=args.pad, cycles=args.cycles,
-                mu_a=args.mu_a, r_a=args.r_a, methods=methods,
-                chunk=args.chunk, jobs=args.jobs))
-    except ValueError as e:
-        raise _ConfigError(str(e))
+    for snr in _csv_floats(args.ebn0):
+        rows.extend(run_freq_experiment(
+            n=args.n, snr_db=snr, trials=args.trials, seed=args.seed,
+            omega_bins=args.omega_bins, pad=args.pad, cycles=args.cycles,
+            mu_a=args.mu_a, r_a=args.r_a, methods=_methods(args),
+            chunk=args.chunk, jobs=args.jobs))
     rows.sort(key=lambda r: (r["snr_db"], r["n"], r["omega_bins"], r["method"]))
-    write_csv(args.out, FREQ_CSV_HEADER, rows, _manifest(args))
-    if args.plot_data:
-        _write_plot_data(args.plot_data, rows, "snr_db", ["rms_bins"])
-    return 0
+    return _write(args, FREQ_CSV_HEADER, rows, "snr_db", ["rms_bins"])
 
 
 def _format_sets(tag_fmt, sets):
@@ -260,26 +241,22 @@ def _cmd_gdl_count(args):
     split = args.split if args.split is not None else default_split(model.n)
     print("keep={%s} split=%d semiring=%s" % (
         ",".join(str(v) for v in sorted(keep)), split, args.semiring))
-    try:
-        if args.mode in ("fb", "both"):
-            c = count_operators(model, keep, i=split, mode="fb")
-            print("fb: ring_sum=%d ring_product=%d total=%d phi=%d" % (
-                c["ring_sum"], c["ring_product"], c["total"], c["phi"]))
-        if args.mode in ("naive", "both"):
-            c = count_operators(model, keep, mode="naive")
-            print("naive: ring_sum=%d ring_product=%d total=%d lower=%d upper=%d" % (
-                c["ring_sum"], c["ring_product"], c["total"], c["lower"], c["upper"]))
-    except ValueError as e:
-        raise _ConfigError(str(e))
+    if args.mode in ("fb", "both"):
+        c = count_operators(model, keep, i=split, mode="fb")
+        print("fb: ring_sum=%d ring_product=%d total=%d phi=%d" % (
+            c["ring_sum"], c["ring_product"], c["total"], c["phi"]))
+    if args.mode in ("naive", "both"):
+        c = count_operators(model, keep, mode="naive")
+        print("naive: ring_sum=%d ring_product=%d total=%d lower=%d upper=%d" % (
+            c["ring_sum"], c["ring_product"], c["total"], c["lower"], c["upper"]))
     return 0
 
 
 def _cmd_pe_demo(args):
-    from .experiments import PE_CSV_HEADER, run_pe_demo, write_csv
+    from .experiments import PE_CSV_HEADER, run_pe_demo
 
-    rows = run_pe_demo(_csv_floats(args.rho), transform=args.transform)
-    write_csv(args.out, PE_CSV_HEADER, rows, _manifest(args))
-    return 0
+    return _write(args, PE_CSV_HEADER,
+                  run_pe_demo(_csv_floats(args.rho), transform=args.transform))
 
 
 def _selftest_checks():
@@ -502,8 +479,8 @@ def main(argv=None):
         if args.cmd == "pe-demo":
             return _cmd_pe_demo(args)
         return _cmd_selftest(args)
-    except _ConfigError as e:
-        if not e.usage_shown:
+    except ValueError as e:
+        if not getattr(e, "usage_shown", False):
             parser.print_usage(sys.stderr)
             sys.stderr.write("config error: %s\n" % e)
         return 1

@@ -1,5 +1,11 @@
 """Monte Carlo drivers: symbol detection over AWGN/fading, tone RMS runs.
 
+Both runners take one path. `_check_run` checks the seed, the counts
+and the methods; the point's model goes into one record, built once;
+`_map_chunks` calls the chunk worker on that record and each chunk's
+trial range [t0, t1), serially or on a process pool, and returns the
+partial results in trial order.
+
 Determinism contract: every trial owns a counter-based generator keyed
 by master_seed XOR trial_index, with a fixed draw order per scenario
 (source uniforms, then channel uniforms for fading, then noise
@@ -12,6 +18,7 @@ bits of kld_mean can move with the chunk size; its other columns, bar
 wall_ms, come from integer counts and do not.
 """
 
+import sys
 import time
 from collections import namedtuple
 from concurrent.futures import ProcessPoolExecutor
@@ -69,23 +76,22 @@ def model_generator(seed):
     return np.random.Generator(np.random.Philox(key=(1 << 64) + seed))
 
 
-_ChunkSpec = namedtuple(
-    "_ChunkSpec",
+_HmcPoint = namedtuple(
+    "_HmcPoint",
     [
-        "fading", "seed", "t0", "t1", "n", "n0", "T", "p", "means",
-        "src_T", "src_p", "ch_T", "M_src", "methods", "xi", "max_cycles",
-        "bit_distance",
+        "fading", "seed", "n", "n0", "T", "p", "means", "src_T", "src_p",
+        "ch_T", "M_src", "methods", "xi", "max_cycles", "bit_distance",
     ],
 )
 
 
-def _run_hmc_chunk(spec):
-    B = spec.t1 - spec.t0
+def _run_hmc_chunk(spec, t0, t1):
+    B = t1 - t0
     n = spec.n
     su = np.empty((B, n))
     cu = np.empty((B, n)) if spec.fading else None
     nz = np.empty((B, 2 * n))
-    for r, t in enumerate(range(spec.t0, spec.t1)):
+    for r, t in enumerate(range(t0, t1)):
         g = trial_generator(spec.seed, t)
         su[r] = g.random(n)
         if spec.fading:
@@ -143,32 +149,36 @@ def _run_hmc_chunk(spec):
     return out
 
 
-def _check_counts(trials, chunk):
-    if trials < 1:
-        raise ValueError("need trials >= 1, got %r" % (trials,))
-    if chunk < 1:
-        raise ValueError("need chunk >= 1, got %r" % (chunk,))
+def _check_run(seed, trials, chunk, n, methods, known):
+    """The checks of every run, before it builds or draws anything; returns the seed."""
+    if seed is None:
+        raise ValueError("--seed is required for experiment runs")
+    seed = int(seed)
+    if not 0 <= seed < (1 << 64):
+        raise ValueError("seed must fit in 64 bits")
+    for name, value in (("trials", trials), ("chunk", chunk), ("n", n)):
+        if value < 1:
+            raise ValueError("need %s >= 1, got %r" % (name, value))
+    for m in methods:
+        if m not in known:
+            raise ValueError("unknown method %r" % (m,))
+    return seed
 
 
-def _map_chunks(worker, specs, jobs):
+def _map_chunks(worker, point, trials, chunk, jobs):
+    """worker(point, t0, t1) over the chunks of trials, results in trial order."""
+    t0s = range(0, trials, chunk)
+    t1s = [min(t0 + chunk, trials) for t0 in t0s]
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
-            return list(ex.map(worker, specs))
-    return [worker(s) for s in specs]
+            return list(ex.map(worker, [point] * len(t0s), t0s, t1s))
+    return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
 
 
 def run_experiment(cfg):
     """One (scenario, Eb/N0, rho) point; one result row dict per method."""
-    if cfg.seed is None:
-        raise ValueError("a seed is required")
-    seed = int(cfg.seed)
-    if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must fit in 64 bits")
-    _check_counts(cfg.trials, cfg.chunk)
+    seed = _check_run(cfg.seed, cfg.trials, cfg.chunk, cfg.n, cfg.methods, HMC_METHODS)
     StoppingConfig(cfg.xi, cfg.max_cycles)
-    for m in cfg.methods:
-        if m not in HMC_METHODS:
-            raise ValueError("unknown method %r" % (m,))
     const = QamConstellation(cfg.M)
     T_s, p_s = random_source(cfg.M, model_generator(seed))
     n0 = snr_to_n0(cfg.ebn0_db)
@@ -186,13 +196,9 @@ def run_experiment(cfg):
     else:
         raise ValueError("scenario must be 'awgn' or 'fading'")
 
-    specs = []
-    for t0 in range(0, cfg.trials, cfg.chunk):
-        specs.append(_ChunkSpec(
-            fading, seed, t0, min(t0 + cfg.chunk, cfg.trials), cfg.n, n0, T, p,
-            means, T_s, p_s, T_c, cfg.M, tuple(cfg.methods), cfg.xi,
-            cfg.max_cycles, const.bit_distance))
-    partials = _map_chunks(_run_hmc_chunk, specs, cfg.jobs)
+    point = _HmcPoint(fading, seed, cfg.n, n0, T, p, means, T_s, p_s, T_c, cfg.M,
+                      tuple(cfg.methods), cfg.xi, cfg.max_cycles, const.bit_distance)
+    partials = _map_chunks(_run_hmc_chunk, point, cfg.trials, cfg.chunk, cfg.jobs)
 
     total_bits = cfg.trials * cfg.n * const.bits_per_symbol
     rows = []
@@ -222,10 +228,8 @@ def run_experiment(cfg):
     return rows
 
 
-_FreqSpec = namedtuple(
-    "_FreqSpec",
-    ["seed", "t0", "t1", "n", "omega", "r_e", "mu_a", "r_a", "pad", "cycles", "methods"],
-)
+_FreqPoint = namedtuple(
+    "_FreqPoint", ["seed", "n", "omega", "r_e", "mu_a", "r_a", "pad", "cycles", "methods"])
 
 
 # Trials per freq kernel call: bounds the (rows, G) working arrays of a
@@ -233,20 +237,20 @@ _FreqSpec = namedtuple(
 _FREQ_ROWS = 64
 
 
-def _run_freq_chunk(spec):
-    """Per-method squared errors of one chunk's trials, in trial order.
+def _run_freq_chunk(spec, t0, t1):
+    """Per-method squared errors of trials [t0, t1), in trial order.
 
     The periodogram errors are one array; the Bayesian ones are Python
     floats squared one trial at a time, as a single-trial call does.
     """
-    B = spec.t1 - spec.t0
+    B = t1 - t0
     n = spec.n
     grid = dft_grid(n, spec.pad)
     prior = FreqPrior(spec.mu_a, spec.r_a)
     i = np.arange(1, n + 1)
     tone = np.sin(spec.omega * i)
     X = np.empty((B, n))
-    for r, t in enumerate(range(spec.t0, spec.t1)):
+    for r, t in enumerate(range(t0, t1)):
         g = trial_generator(spec.seed, t)
         X[r] = spec.mu_a * tone + np.sqrt(spec.r_e) * g.standard_normal(n)
     sq = {m: [] for m in spec.methods}
@@ -292,21 +296,13 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     variance still enters the inference and the SNR definition, which
     sets r_e = (mu_a^2 + r_a) / (2 * 10^(dB/10)).
     """
-    if seed is None:
-        raise ValueError("a seed is required")
-    seed = int(seed)
-    _check_counts(trials, chunk)
-    for m in methods:
-        if m not in FREQ_METHODS:
-            raise ValueError("unknown method %r" % (m,))
+    seed = _check_run(seed, trials, chunk, n, methods, FREQ_METHODS)
+    if cycles < 0:
+        raise ValueError("need cycles >= 0, got %r" % (cycles,))
     omega = omega_bins * 2.0 * np.pi / n
     r_e = (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0))
-    specs = [
-        _FreqSpec(seed, t0, min(t0 + chunk, trials), n, omega, r_e, mu_a, r_a,
-                  pad, cycles, tuple(methods))
-        for t0 in range(0, trials, chunk)
-    ]
-    partials = _map_chunks(_run_freq_chunk, specs, jobs)
+    point = _FreqPoint(seed, n, omega, r_e, mu_a, r_a, pad, cycles, tuple(methods))
+    partials = _map_chunks(_run_freq_chunk, point, trials, chunk, jobs)
     bin_w = 2.0 * np.pi / n
     rows = []
     for m in methods:
@@ -354,10 +350,9 @@ def format_csv(header, rows, manifest=None):
 
 
 def write_csv(path, header, rows, manifest=None):
+    """Write the CSV to path; None or "-" means stdout."""
     text = format_csv(header, rows, manifest)
-    if path is None:
-        import sys
-
+    if path in (None, "-"):
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:

@@ -157,9 +157,10 @@ def fb_reduce_sequential(model, sr, objectives, counter=None):
     in_proc = [topo.in_process(i) for i in range(1, n)]
 
     # ubars[k]: factors 1..k+1 folded, before nln[k] is eliminated;
-    # vbars[k]: factors n-k..n folded, before fa[n-1-k] is eliminated
-    ubars, _ = _sweep(sr, model.factors[:n - 1], nln[:n - 1], counter)
-    vbars, _ = _sweep(sr, model.factors[1:][::-1], fa[1:][::-1], counter)
+    # vbars[k]: factors n-k..n folded, before fa[n-1-k] is eliminated.
+    # Nothing reads a sweep's last result, so its elimination is skipped.
+    ubars, _ = _sweep(sr, model.factors[:n - 1], nln[:n - 2] + [frozenset()], counter)
+    vbars, _ = _sweep(sr, model.factors[1:][::-1], fa[2:][::-1] + [frozenset()], counter)
 
     results = []
     for o in objs:

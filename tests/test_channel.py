@@ -192,6 +192,17 @@ def test_transition_matrix_equals_fresh_grid_quadrature(K, rho, empty_memo):
     assert got.tobytes() == _reference_transition_matrix(K, rho).tobytes()
 
 
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.999])
+def test_single_cell_chain_integrates_nothing(rho, monkeypatch, empty_memo):
+    def no_density(*args):
+        raise AssertionError("a one-cell chain evaluated the density")
+
+    monkeypatch.setattr(channel, "rayleigh_pair_logpdf", no_density)
+    assert channel_transition_matrix(1, rho).tobytes() == np.ones((1, 1)).tobytes()
+    with pytest.raises(ValueError, match="sigma2"):
+        channel_transition_matrix(1, rho, sigma2=0)
+
+
 def test_transition_matrix_evaluates_each_point_once(monkeypatch, empty_memo):
     # fresh grids at every level and every cell on its own took the
     # density at 2,638,382 points for this matrix

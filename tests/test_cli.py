@@ -82,6 +82,57 @@ def test_non_positive_counts_are_config_errors(argv, word, capsys):
     assert "config error" in err and word in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hmc-awgn", "--n", "0"], "need n >= 1"),
+    (["freq", "--n", "0"], "need n >= 1"),
+    (["freq", "--cycles", "-1"], "need cycles >= 0"),
+])
+def test_bad_sizes_are_config_errors(argv, message, capsys):
+    rc = main(argv + ["--seed", "1", "--trials", "2", "--ebn0", "10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("cmd", ["freq", "hmc-awgn"])
+@pytest.mark.parametrize("seed", ["18446744073709551616", "-1"])
+def test_seed_outside_64_bits_is_config_error(cmd, seed, capsys):
+    rc = main([cmd, "--seed", seed, "--n", "8", "--trials", "2", "--ebn0", "10"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error: seed must fit in 64 bits" in err
+
+
+def test_pe_demo_bad_rho_is_config_error(capsys):
+    assert main(["pe-demo", "--rho", "1.5"]) == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and "rho" in err
+
+
+def test_dash_means_stdout(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    rc = main(["freq", "--seed", "3", "--n", "16", "--trials", "10", "--ebn0", "12",
+               "--pad", "4", "--methods", "pm", "--out", "-", "--plot-data", "-"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.startswith("# tool=trellis-0.1.0 cmd=freq")
+    assert "\nmethod,x_name,x_value,metric,value\npm,snr_db,12.0,rms_bins," in out
+    assert not (tmp_path / "-").exists()
+
+
+@pytest.mark.parametrize("scenario", ["awgn", "fading"])
+def test_scenario_is_not_a_flag(scenario, tmp_path, capsys):
+    # the subcommand names the scenario; neither a flag nor a config line sets it
+    argv = ["hmc-" + scenario, "--seed", "1", "--trials", "2", "--n", "8"]
+    if scenario == "fading":
+        argv += ["--rho", "0.5", "--k", "2"]
+    assert main(argv + ["--scenario", scenario]) == 1
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("scenario=%s\n" % scenario)
+    assert main(argv + ["--config", str(cfg)]) == 1
+    assert "--scenario" in capsys.readouterr().err
+
+
 def test_freq_csv_independent_of_chunk_and_jobs(tmp_path):
     base = ["freq", "--seed", "99", "--n", "16", "--trials", "50", "--ebn0", "10",
             "--pad", "4"]

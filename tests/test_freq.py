@@ -296,7 +296,7 @@ def test_block_posterior_matches_closed_form_loop():
 def test_run_freq_chunk_is_blocking_independent():
     # below, at and above the kernel row block, each trial's squared
     # errors equal those of single-trial calls
-    from trellis.experiments import _FREQ_ROWS, _FreqSpec, _run_freq_chunk, trial_generator
+    from trellis.experiments import _FREQ_ROWS, _FreqPoint, _run_freq_chunk, trial_generator
 
     n, seed, omega, r_e = 16, 5, 1.1 * 2.0 * np.pi / 16, 0.3
     methods = ("pm", "map", "vb", "tvb")
@@ -312,7 +312,7 @@ def test_run_freq_chunk_is_blocking_independent():
         for m in methods:
             ref[m].append((est[m] - omega) ** 2)
     for B in (_FREQ_ROWS - 1, _FREQ_ROWS, 2 * _FREQ_ROWS + 3):
-        spec = _FreqSpec(seed, 0, B, n, omega, r_e, PRIOR.mu_a, PRIOR.r_a, 4, 5, methods)
-        got = _run_freq_chunk(spec)
+        point = _FreqPoint(seed, n, omega, r_e, PRIOR.mu_a, PRIOR.r_a, 4, 5, methods)
+        got = _run_freq_chunk(point, 0, B)
         for m in methods:
             assert got[m] == ref[m][:B], (B, m)
