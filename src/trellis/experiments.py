@@ -299,6 +299,10 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     seed = _check_run(seed, trials, chunk, n, methods, FREQ_METHODS)
     if cycles < 0:
         raise ValueError("need cycles >= 0, got %r" % (cycles,))
+    if not 0.0 < r_a < np.inf:
+        raise ValueError("need a finite prior variance r_a > 0, got %r" % (r_a,))
+    if not np.isfinite(mu_a):
+        raise ValueError("need a finite prior mean mu_a, got %r" % (mu_a,))
     omega = omega_bins * 2.0 * np.pi / n
     r_e = (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0))
     point = _FreqPoint(seed, n, omega, r_e, mu_a, r_a, pad, cycles, tuple(methods))

@@ -98,3 +98,33 @@ def fresh_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=2048):
             return cur, n
         prev = cur
     raise RuntimeError("no convergence")
+
+
+def dense_viterbi_trace(logT, logp0, logPsi):
+    """The min-sum Viterbi with the full (B, S, S) step at every step: the
+    reference the pruned kernel must equal bit for bit."""
+    B, n, M = logPsi.shape
+    lam = -(logPsi[:, 0] + logp0)
+    kappa = np.zeros((B, n, M), dtype=np.int32)
+    base = np.arange(0, B * M * M, M).reshape(B, M)
+    for i in range(1, n):
+        tot = lam[:, None, :] - logT
+        am = tot.argmin(axis=2)
+        kappa[:, i] = am
+        lam = tot.take(base + am)
+        lam -= logPsi[:, i]
+        lam -= np.minimum.reduce(lam, axis=1, keepdims=True)
+    labels = np.empty((B, n), dtype=np.int64)
+    labels[:, n - 1] = lam.argmin(axis=1)
+    rows = np.arange(B)
+    for i in range(n - 1, 0, -1):
+        labels[:, i - 1] = kappa[rows, i, labels[:, i]]
+    return labels, lam, kappa
+
+
+def assert_same_arrays(got, want):
+    """Equal shapes, dtypes and bytes, array by array."""
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert (g.shape, g.dtype) == (w.shape, w.dtype)
+        assert g.tobytes() == w.tobytes()

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from conftest import assert_same_arrays, dense_viterbi_trace
+from trellis import batch
 from trellis.batch import (
     batch_fb,
     batch_fcvb,
@@ -12,6 +14,9 @@ from trellis.batch import (
     batch_ml,
     batch_viterbi,
 )
+from trellis.channel import (QamConstellation, augmented_model, awgn_observe,
+                             channel_transition_matrix, gaussian_psi, random_source,
+                             rayleigh_quantizer, sample_chain, snr_to_n0)
 from trellis.hmc import (
     HmcModel,
     fb_algorithm,
@@ -49,6 +54,42 @@ def test_batch_viterbi_matches_scalar():
     labels = batch_viterbi(safe_log(T), safe_log(p0), safe_log(Psi))
     for b, model in enumerate(models):
         assert np.array_equal(labels[b] + 1, viterbi(model).labels)
+
+
+def test_viterbi_pruning_runs_on_a_fading_block(monkeypatch):
+    # A fading-16qam point: 16-QAM over a 4-cell channel at rho 0.5 (64
+    # states), 40 trials at 16 dB. Nearly every step must run pruned,
+    # over a few states: a kernel that fell back to the dense step, or
+    # let most states through, would fail here with the same bits.
+    rng = np.random.default_rng(16)
+    const = QamConstellation(16)
+    quant = rayleigh_quantizer(4)
+    aug = augmented_model(random_source(16, rng)[0], const,
+                          channel_transition_matrix(4, 0.5, quantizer=quant), quant)
+    B, n, S = 40, 200, aug.T.shape[0]
+    states = sample_chain(aug.T, aug.p, rng.random((B, n)))
+    n0 = snr_to_n0(16.0)
+    x = awgn_observe(aug.means[states], n0, rng.standard_normal((B, 2 * n)))
+    logs = safe_log(aug.T), safe_log(aug.p), safe_log(gaussian_psi(x, aug.means, n0))
+    largest, pruned = [], []
+    in_reach, pruned_step = batch._in_reach, batch._pruned_step
+
+    def counting_in_reach(lam, bound):
+        keep = in_reach(lam, bound)
+        largest.append(int(keep.sum(axis=1).max()))
+        return keep
+
+    def counting_step(*args):
+        pruned.append(True)
+        return pruned_step(*args)
+
+    monkeypatch.setattr(batch, "_in_reach", counting_in_reach)
+    monkeypatch.setattr(batch, "_pruned_step", counting_step)
+    got = batch.viterbi_trace(*logs)
+    assert len(largest) == n - 2
+    assert np.mean(largest) < S / 8
+    assert len(pruned) >= 0.95 * (n - 2)
+    assert_same_arrays(got, dense_viterbi_trace(*logs))
 
 
 def test_batch_ml_matches_scalar():

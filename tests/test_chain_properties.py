@@ -1,7 +1,8 @@
 """Property tests of the chain kernels against the enumerated posterior,
 of the forward-only pass and the point-mass divergence against the
 full pass and the one-hot divergence they must equal bit for bit, and
-of the plain mean-field schedule against the accelerated one.
+of the plain mean-field schedule against the accelerated one, and of
+the pruned Viterbi step against the dense one it must equal bit for bit.
 
 Models are drawn with zero entries in the transition matrix and the
 start pmf, likelihood entries down to 1e-30 and blocks of several
@@ -14,6 +15,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import assert_same_arrays, dense_viterbi_trace
+from trellis import batch
 from trellis.batch import (DegenerateObservation, batch_fb, batch_forward, batch_kld,
                            batch_kld_labels, forward_backward, marginal_sweep,
                            point_mass_sweep, viterbi_trace)
@@ -28,21 +31,32 @@ MAP_MARGIN = 1e-9
 MAX_PRODUCT = semiring("max-product")
 
 
-def _pmf(draw, M):
-    """Simplex vector with some exact zeros, positive entries >= ~0.003."""
-    w = np.array(draw(st.lists(st.sampled_from([0.0, 0.01, 0.1, 0.5, 1.0]),
-                               min_size=M, max_size=M)))
+PMF_LEVELS = (0.0, 0.01, 0.1, 0.5, 1.0)
+
+
+def _pmf(draw, M, levels=PMF_LEVELS):
+    """Simplex vector drawn from levels (exact zeros where 0.0 is one),
+    positive entries >= ~0.003."""
+    w = np.array(draw(st.lists(st.sampled_from(levels), min_size=M, max_size=M)))
     if w.sum() == 0.0:
         w[draw(st.integers(0, M - 1))] = 1.0
     return w / w.sum()
 
 
 @st.composite
-def chain_blocks(draw):
-    M = draw(st.integers(2, 3))
+def chain_blocks(draw, states=st.integers(2, 3), shared_columns=False):
+    """T, p0 and Psi of a block; with shared_columns, T's columns come
+    from a pool of at most three, without zeros in about half the draws,
+    so that states tie in every target."""
+    M = draw(states)
     n = draw(st.integers(1, 5))
     B = draw(st.integers(1, 3))
-    T = np.column_stack([_pmf(draw, M) for _ in range(M)])
+    if shared_columns:
+        levels = PMF_LEVELS[1:] if draw(st.booleans()) else PMF_LEVELS
+        pool = [_pmf(draw, M, levels) for _ in range(draw(st.integers(1, 3)))]
+        T = np.column_stack([pool[draw(st.integers(0, len(pool) - 1))] for _ in range(M)])
+    else:
+        T = np.column_stack([_pmf(draw, M) for _ in range(M)])
     p0 = _pmf(draw, M)
     level = st.sampled_from([0.0, 1e-30, 1e-12, 1e-3, 0.3, 1.0])
     Psi = np.array(draw(st.lists(level, min_size=B * n * M, max_size=B * n * M)))
@@ -150,6 +164,47 @@ def test_viterbi_and_profiles_find_the_map(block):
         if _unique_map(post):
             assert np.array_equal(labels[b] + 1, post.map_labels())
             assert np.array_equal(np.argmax(profiles[b], axis=1), labels[b])
+
+
+def _viterbi_pruned_at_any_size(logT, logp0, logPsi):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(batch, "_PRUNE_MIN_STATES", 0)
+        return viterbi_trace(logT, logp0, logPsi)
+
+
+@SETTINGS
+@given(chain_blocks(st.integers(4, 9), shared_columns=True))
+def test_pruned_viterbi_equals_the_dense_step(block):
+    # The pruned step needs at most S/4 candidates and a trial's best
+    # state is always one, so these blocks have 4-9 states. Their steps
+    # mix pruned and dense ones; zeros in T make the bound LOG0-sized,
+    # which sends a step to the dense path; few-valued T and Psi tie.
+    T, p0, Psi = block
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
+    assert_same_arrays(_viterbi_pruned_at_any_size(*logs), dense_viterbi_trace(*logs))
+
+
+def test_pruning_margin_covers_the_rounding_of_the_step():
+    # Columns 0 and 1 of T are equal, so D[1, 0] = 0. Step 1 leaves the
+    # metrics [4e-16, 0, 50, ...], and 4e-16 - log 1e-4 rounds to
+    # -log 1e-4: state 0 ties the best state 1 for target 0 and wins it
+    # by the smaller index. A margin relative to |D| alone drops it.
+    S = 8
+    T = np.full((S, S), 1.0 / S)
+    T[:, :2] = (1.0 - 1e-4) / (S - 1)
+    T[0, :2] = 1e-4
+    logT = np.log(T)
+    logPsi = np.zeros((1, 3, S))
+    logPsi[0, 0] = -50.0
+    logPsi[0, 0, 2] = -logT[0, 2]  # every target's step-1 minimum is 0, from state 2
+    logPsi[0, 1, 0] = -4e-16
+    logPsi[0, 1, 2:] = -50.0
+    assert np.all(logT[:, 2] - logT[0, 2] == 0.0)
+    assert 4e-16 - logT[0, 0] == -logT[0, 1]
+    got = _viterbi_pruned_at_any_size(logT, np.zeros(S), logPsi)
+    want = dense_viterbi_trace(logT, np.zeros(S), logPsi)
+    assert want[2][0, 2, 0] == 0
+    assert_same_arrays(got, want)
 
 
 @SETTINGS

@@ -86,6 +86,12 @@ def test_non_positive_counts_are_config_errors(argv, word, capsys):
     (["hmc-awgn", "--n", "0"], "need n >= 1"),
     (["freq", "--n", "0"], "need n >= 1"),
     (["freq", "--cycles", "-1"], "need cycles >= 0"),
+    (["freq", "--r-a", "0"], "prior variance r_a"),
+    (["freq", "--r-a", "-1"], "prior variance r_a"),
+    (["freq", "--r-a", "nan"], "prior variance r_a"),
+    (["freq", "--r-a", "inf"], "prior variance r_a"),
+    (["freq", "--mu-a", "nan"], "prior mean mu_a"),
+    (["freq", "--mu-a", "inf"], "prior mean mu_a"),
 ])
 def test_bad_sizes_are_config_errors(argv, message, capsys):
     rc = main(argv + ["--seed", "1", "--trials", "2", "--ebn0", "10"])
