@@ -4,7 +4,9 @@ Every function takes a (B, n, M) likelihood block whose trials share
 one transition matrix: forward_backward over a trellis.semiring
 instance and its forward half batch_forward, the min-sum
 viterbi_trace, the mean-field marginal_sweep and point_mass_sweep, and
-the divergences batch_kld and batch_kld_labels.
+the divergences batch_kld and batch_kld_labels. The two mean-field
+sweeps are site updates, one step of one block of trials each, that a
+single schedule loop, _sweep, runs and counts.
 The scalar API in hmc and vb runs them with B=1. Labels are 0-based
 and ties resolve to the smallest index. A trial gets the same bits
 alone or in a block, except from a BLAS matrix product, which may
@@ -23,7 +25,7 @@ chains run the full step (see viterbi_trace).
 
 import numpy as np
 
-from .numerics import safe_log
+from .numerics import log_normalize, safe_log
 from .semiring import SUM_PRODUCT
 
 # Float sweeps can wander forever in the last bit of a pmf entry, which
@@ -279,90 +281,76 @@ def batch_kld_labels(T, alpha, labels):
     return out
 
 
-class _Sweep:
-    """Schedule and counters of the mean-field sweeps.
+def _sweep(update, B, n, max_cycles, accelerated, after_cycle=None):
+    """The mean-field schedule over site updates: (nu_c, nu_e, converged, tau).
 
-    tau, laid out (n + 2, B) with one pad step at both ends, flags the
-    steps due. A sweep reports each due step's movement to schedule: a
-    hot step stays due, a quiet one goes to sleep. The accelerated
-    schedule also wakes a hot step's neighbours and runs only the steps
-    so woken. The plain one is the same schedule with every step of an
-    unconverged trial re-woken at the end of each cycle. Either way a
-    trial has converged once no step is left due, and it keeps its rows
-    from then on.
+    update(i, rows, mask) stores step i's new rows for the due trials,
+    which rows selects (with the boolean mask, if not None), and returns
+    which of them moved. A lone due trial gets a one-row slice, so that
+    its step costs and rounds as a B=1 step does. tau, laid out (n + 2,
+    B) with one pad step at both ends, flags the steps due: a moved step
+    stays due, a quiet one goes to sleep. The accelerated schedule also
+    wakes a moved step's neighbours; the plain one re-wakes every step
+    of an unconverged trial at the end of each cycle. A moved step keeps
+    its flag to the end of the cycle, so a trial has converged once no
+    step is left due, and it keeps its rows from then on. after_cycle,
+    if given, is called at the end of each cycle with the mask of the
+    trials that ran in it. tau is returned without its pads, as (B, n).
     """
-
-    def __init__(self, B, n, max_cycles, accelerated):
-        self.n = n
-        self.max_cycles = max_cycles
-        self.accelerated = accelerated
-        self.tau = np.ones((n + 2, B), dtype=bool)
-        self.ran = np.zeros((n, B), dtype=bool)
-        self.updates = np.zeros(B, dtype=np.int64)
-        self.nu_c = np.full(B, max_cycles, dtype=np.int64)
-        self.converged = np.zeros(B, dtype=bool)
-
-    @staticmethod
-    def _rows(t):
-        """(rows, mask) covering the trials t: a lone trial gets a one-row
-        slice, so that its step costs and rounds as a B=1 step does."""
-        c = np.count_nonzero(t)
-        if c == 0:
-            return None
-        if c == len(t):
-            return slice(None), None
-        if c == 1:
-            j = int(t.argmax())
-            return slice(j, j + 1), None
-        return slice(None), t
-
-    def due(self, i):
-        """The trials that update step i, as _rows gives them."""
-        t = self.tau[i + 1]
-        self.ran[i] = t
-        return self._rows(t)
-
-    def schedule(self, i, rows, hot):
-        """A hot step stays due and, when accelerated, wakes both
-        neighbours; a quiet one goes to sleep. The plain schedule's
-        re-wake at the end of the cycle covers the neighbours."""
-        self.tau[i + 1, rows] = hot
-        if self.accelerated and np.count_nonzero(hot):
-            self.tau[i:i + 3:2, rows] |= hot
-
-    def retire(self, nu):
-        """Close cycle nu; False once no trial is left to run.
-
-        A hot step keeps its own flag up to the end of the cycle, so no
-        step left due means no step moved in this cycle.
-        """
-        self.updates += np.add.reduce(self.ran, axis=0)
-        live = self.tau[1:-1].any(axis=0)
-        self.nu_c[~live & ~self.converged] = nu
-        self.converged = ~live
-        if not self.accelerated:
-            self.tau[1:-1] |= live
-        return nu < self.max_cycles and live.any()
-
-    def results(self):
-        return self.nu_c, self.updates / self.n, self.converged, self.tau[1:-1].T
+    tau = np.ones((n + 2, B), dtype=bool)
+    # each trial's update count, less the steps that updated every trial:
+    # those go to the scalar `full`, as adding a mask at every step cost
+    # about a tenth of the point-mass sweep's time on one-trial blocks
+    updates = np.zeros(B, dtype=np.int64)
+    full = 0
+    nu_c = np.full(B, max_cycles, dtype=np.int64)
+    converged = np.zeros(B, dtype=bool)
+    for nu in range(1, max_cycles + 1):
+        for i in range(n):
+            t = tau[i + 1]
+            c = np.count_nonzero(t)
+            if c == 0:
+                continue
+            if c == B:
+                rows, mask = slice(None), None
+                full += 1
+            elif c == 1:
+                j = int(t.argmax())
+                rows, mask = slice(j, j + 1), None
+                updates[j] += 1
+            else:
+                rows, mask = slice(None), t
+                updates += t
+            hot = update(i, rows, mask)
+            tau[i + 1, rows] = hot
+            if accelerated and np.count_nonzero(hot):
+                tau[i:i + 3:2, rows] |= hot
+        if after_cycle is not None:
+            after_cycle(~converged)
+        live = tau[1:-1].any(axis=0)
+        nu_c[~live & ~converged] = nu
+        converged = ~live
+        if not live.any():
+            break
+        if not accelerated:
+            tau[1:-1] |= live
+    return nu_c, (updates + full) / n, converged, tau[1:-1].T
 
 
 def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
                    track_kld=False):
     """Mean-field marginal updates, plain or accelerated.
 
-    A step is hot when its pmf moves more than xi in KS distance; a
-    trial stops after the first cycle with no hot step (see _Sweep).
+    A step moves when its pmf moves more than xi in KS distance; a
+    trial stops after the first cycle with no step moved (see _sweep).
     Returns (p, nu_c, nu_e, converged, tau, kld): tau flags the steps
     still due, all False for a converged trial; with track_kld, kld[b]
-    lists trial b's divergence after each cycle.
+    lists trial b's divergence after each of its nu_c[b] cycles.
     """
     B, n, M = Psi.shape
     init = np.asarray(init, dtype=float)
     if init.shape != (B, n, M):
         raise ValueError("init must be B x n x M")
-    sweep = _Sweep(B, n, max_cycles, accelerated)
     logT = safe_log(T)
     # xi below the resolution asks for an exact fixed point, with the
     # same bits alone or in a block: moves within the resolution are not
@@ -378,46 +366,43 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
     lp = safe_log(Psi)
     lp[:, 0] += safe_log(p0)
     p = np.array(init)
+    thr = max(xi, KS_RESOLUTION)
+
+    def update(i, r, t):
+        s = lp[r, i] + contract(p[r, i - 1], logT.T) if i else lp[r, 0].copy()
+        if i + 1 < n:
+            s += contract(p[r, i + 1], logT)
+        s = log_normalize(s)
+        ks = np.maximum.reduce(np.abs(np.add.accumulate(s, axis=1)
+                                      - np.add.accumulate(p[r, i], axis=1)),
+                               axis=1)
+        store = ks > KS_RESOLUTION if exact else t
+        if exact and t is not None:
+            store &= t
+        if store is None:
+            p[r, i] = s
+        else:
+            np.copyto(p[r, i], s, where=store[:, None])
+        return ks > thr if t is None else t & (ks > thr)
+
+    after_cycle = None
     if track_kld:
         alpha = batch_forward(T, p0, Psi)
         kld = [[] for _ in range(B)]
-    thr = max(xi, KS_RESOLUTION)
-    for nu in range(1, max_cycles + 1):
-        for i in range(n):
-            step = sweep.due(i)
-            if step is None:
-                continue
-            r, t = step
-            s = lp[r, i] + contract(p[r, i - 1], logT.T) if i else lp[r, 0].copy()
-            if i + 1 < n:
-                s += contract(p[r, i + 1], logT)
-            s -= np.maximum.reduce(s, axis=1, keepdims=True)
-            np.exp(s, out=s)
-            s /= np.add.reduce(s, axis=1, keepdims=True)
-            ks = np.maximum.reduce(np.abs(np.add.accumulate(s, axis=1)
-                                          - np.add.accumulate(p[r, i], axis=1)),
-                                   axis=1)
-            store = ks > KS_RESOLUTION if exact else t
-            if exact and t is not None:
-                store &= t
-            if store is None:
-                p[r, i] = s
-            else:
-                np.copyto(p[r, i], s, where=store[:, None])
-            sweep.schedule(i, r, ks > thr if t is None else t & (ks > thr))
-        if track_kld:
-            for b in (~sweep.converged).nonzero()[0]:
+
+        def after_cycle(ran):
+            for b in ran.nonzero()[0]:
                 kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
-        if not sweep.retire(nu):
-            break
-    return (p,) + sweep.results() + (kld if track_kld else None,)
+
+    counts = _sweep(update, B, n, max_cycles, accelerated, after_cycle)
+    return (p,) + counts + (kld if track_kld else None,)
 
 
 def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False):
     """Point-mass mean-field updates, plain or accelerated.
 
-    A step is hot when its label changes; a trial stops after the first
-    change-free cycle, which nu_c counts (see _Sweep). Returns (labels,
+    A step moves when its label changes; a trial stops after the first
+    change-free cycle, which nu_c counts (see _sweep). Returns (labels,
     nu_c, nu_e, converged, tau), tau as marginal_sweep's.
     """
     B, n, M = Psi.shape
@@ -425,7 +410,6 @@ def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False)
     if k.shape != (B, n):
         raise ValueError("init_labels must be B x n")
     lp = safe_log(Psi)  # first, to reuse a block of its size just freed
-    sweep = _Sweep(B, n, max_cycles, accelerated)
     logT = safe_log(T)
     # Label M stands for the chain's ends: as the previous label it
     # selects the start prior, as the next label a zero row.
@@ -436,25 +420,19 @@ def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False)
     prv[M] = safe_log(p0)
     K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
     K[1:-1] = k.T
-    for nu in range(1, max_cycles + 1):
-        for i in range(n):
-            step = sweep.due(i)
-            if step is None:
-                continue
-            r, t = step
-            s = nxt[K[i + 2, r]] + prv[K[i, r]]
-            s += lp[r, i]
-            new = s.argmax(axis=1)
-            moved = new != K[i + 1, r]
-            if t is None:
-                K[i + 1, r] = new
-            else:
-                moved &= t
-                np.copyto(K[i + 1, r], new, where=moved)
-            sweep.schedule(i, r, moved)
-        if not sweep.retire(nu):
-            break
-    return (K[1:-1].T.copy(),) + sweep.results()
+
+    def update(i, r, t):
+        s = nxt[K[i + 2, r]] + prv[K[i, r]]
+        s += lp[r, i]
+        new = s.argmax(axis=1)
+        moved = new != K[i + 1, r]
+        if t is not None:
+            moved &= t
+        np.copyto(K[i + 1, r], new, where=moved)
+        return moved
+
+    counts = _sweep(update, B, n, max_cycles, accelerated)
+    return (K[1:-1].T.copy(),) + counts
 
 
 def batch_ivb(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False):

@@ -30,9 +30,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _csv_floats(text):
     try:
-        return [float(v) for v in str(text).split(",") if v != ""]
+        values = [float(v) for v in str(text).split(",") if v != ""]
     except ValueError:
         raise _ConfigError("bad numeric list %r" % (text,))
+    if not values:
+        raise _ConfigError("empty numeric list %r" % (text,))
+    return values
 
 
 def _csv_ints(text):
@@ -174,6 +177,8 @@ def _cmd_hmc(args):
 
     ebn0s = _csv_floats(args.ebn0)
     if args.cmd == "hmc-fading":
+        if args.rho is not None and args.fdts is not None:
+            raise _ConfigError("give --rho or --fdts, not both")
         if args.rho is not None:
             rhos = _csv_floats(args.rho)
         elif args.fdts is not None:

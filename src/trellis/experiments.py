@@ -1,10 +1,10 @@
 """Monte Carlo drivers: symbol detection over AWGN/fading, tone RMS runs.
 
-Both runners take one path. `_check_run` checks the seed, the counts
-and the methods; the point's model goes into one record, built once;
-`_map_chunks` calls the chunk worker on that record and each chunk's
-trial range [t0, t1), serially or on a process pool, and returns the
-partial results in trial order.
+Both runners take one path. `_check_run` checks the seed, the counts,
+the Eb/N0 and the methods; the point's model goes into one record,
+built once; `_map_chunks` calls the chunk worker on that record and
+each chunk's trial range [t0, t1), serially or on a process pool, and
+returns the partial results in trial order.
 
 Determinism contract: every trial owns a counter-based generator keyed
 by master_seed XOR trial_index, with a fixed draw order per scenario
@@ -149,16 +149,23 @@ def _run_hmc_chunk(spec, t0, t1):
     return out
 
 
-def _check_run(seed, trials, chunk, n, methods, known):
-    """The checks of every run, before it builds or draws anything; returns the seed."""
+def _check_run(seed, trials, chunk, n, jobs, db, methods, known):
+    """The checks of every run, before it builds or draws anything; returns the seed.
+
+    db is the run's Eb/N0 (SNR per bit) in dB.
+    """
     if seed is None:
         raise ValueError("--seed is required for experiment runs")
     seed = int(seed)
     if not 0 <= seed < (1 << 64):
         raise ValueError("seed must fit in 64 bits")
-    for name, value in (("trials", trials), ("chunk", chunk), ("n", n)):
+    for name, value in (("trials", trials), ("chunk", chunk), ("n", n), ("jobs", jobs)):
         if value < 1:
             raise ValueError("need %s >= 1, got %r" % (name, value))
+    if not np.isfinite(db):
+        raise ValueError("need a finite Eb/N0 in dB, got %r" % (db,))
+    if not methods:
+        raise ValueError("need at least one method")
     for m in methods:
         if m not in known:
             raise ValueError("unknown method %r" % (m,))
@@ -169,7 +176,7 @@ def _map_chunks(worker, point, trials, chunk, jobs):
     """worker(point, t0, t1) over the chunks of trials, results in trial order."""
     t0s = range(0, trials, chunk)
     t1s = [min(t0 + chunk, trials) for t0 in t0s]
-    if jobs and jobs > 1:
+    if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(worker, [point] * len(t0s), t0s, t1s))
     return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
@@ -177,7 +184,8 @@ def _map_chunks(worker, point, trials, chunk, jobs):
 
 def run_experiment(cfg):
     """One (scenario, Eb/N0, rho) point; one result row dict per method."""
-    seed = _check_run(cfg.seed, cfg.trials, cfg.chunk, cfg.n, cfg.methods, HMC_METHODS)
+    seed = _check_run(cfg.seed, cfg.trials, cfg.chunk, cfg.n, cfg.jobs, cfg.ebn0_db,
+                      cfg.methods, HMC_METHODS)
     StoppingConfig(cfg.xi, cfg.max_cycles)
     const = QamConstellation(cfg.M)
     T_s, p_s = random_source(cfg.M, model_generator(seed))
@@ -296,7 +304,7 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     variance still enters the inference and the SNR definition, which
     sets r_e = (mu_a^2 + r_a) / (2 * 10^(dB/10)).
     """
-    seed = _check_run(seed, trials, chunk, n, methods, FREQ_METHODS)
+    seed = _check_run(seed, trials, chunk, n, jobs, snr_db, methods, FREQ_METHODS)
     if cycles < 0:
         raise ValueError("need cycles >= 0, got %r" % (cycles,))
     if not 0.0 < r_a < np.inf:

@@ -208,7 +208,9 @@ def log_normalize(logw):
     that row alone, bit for bit.
     """
     logw = np.asarray(logw, dtype=float)
-    w = logw - np.max(logw, axis=-1, keepdims=True)
+    # the ufunc reductions np.max and np.sum call, without their
+    # per-call dispatch: the mean-field sweep calls this once per step
+    w = logw - np.maximum.reduce(logw, axis=-1, keepdims=True)
     np.exp(w, out=w)
-    w /= np.sum(w, axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w

@@ -3,14 +3,15 @@
 Two mean-field schemes over the label chain: independent marginal
 updates (ivb_run, distributions per time step) and the functionally
 constrained point-mass variant (fcvb_run, hard labels per time step).
-Both sweep i = 1..n repeatedly on one schedule, which skips a step
-until a neighbour moves; the plain sweep re-wakes every step of an
-unconverged trial after each cycle, the accelerated one does not. A
-run stops once no step is left due, and tau flags the steps still due.
-Cycle counts: nu_c counts full sweeps, nu_e is total single-step
-updates divided by n.
-The sweeps run in trellis.batch; kld_vb, from the posterior's chain
-factors, is the reference for the batch divergence.
+Each scheme is a site update, and one schedule loop in trellis.batch
+runs both over i = 1..n repeatedly, skipping a step until a neighbour
+moves; the plain sweep re-wakes every step of an unconverged trial
+after each cycle, the accelerated one does not. A run stops once no
+step is left due, and tau flags the steps still due. Cycle counts:
+nu_c counts full sweeps, nu_e is total single-step updates divided by
+n. The divergence trace is recorded by the same loop at the end of
+each cycle. kld_vb, from the posterior's chain factors, is the
+reference for the batch divergence.
 """
 
 from collections import namedtuple
@@ -85,7 +86,8 @@ def ivb_run(model, init, cfg=None, track_kld=False):
 
     init is an n x M array of starting pmfs (see init_shaping). With
     track_kld, one divergence value is recorded after every completed
-    cycle (this runs the exact forward pass once up front).
+    cycle, nu_c in all, the last that of the returned p (this runs the
+    exact forward pass once up front).
     """
     if cfg is None:
         cfg = StoppingConfig()

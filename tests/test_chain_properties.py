@@ -1,7 +1,8 @@
 """Property tests of the chain kernels against the enumerated posterior,
 of the forward-only pass and the point-mass divergence against the
 full pass and the one-hot divergence they must equal bit for bit, and
-of the plain mean-field schedule against the accelerated one, and of
+of the plain mean-field schedule against the accelerated one, of the
+divergence trace the schedule records at the end of each cycle, and of
 the pruned Viterbi step against the dense one it must equal bit for bit.
 
 Models are drawn with zero entries in the transition matrix and the
@@ -230,6 +231,33 @@ def test_mean_field_rows_match_their_single_runs(block, accelerated):
         assert (pm[1][0], pm[2][0], pm[3][0]) == (mu_c[b], mu_e[b], mconv[b])
         assert np.array_equal(pm[4][0], mtau[b])
         assert nu_e[b] <= nu_c[b] and mu_e[b] <= mu_c[b]
+
+
+@SETTINGS
+@given(chain_blocks(), st.booleans(), st.sampled_from([0.0, 0.01]),
+       st.sampled_from([1, 2, 60]))
+def test_kld_trace_has_one_entry_per_cycle(block, accelerated, xi, max_cycles):
+    # the end-of-cycle hook: one divergence per cycle a trial ran, for
+    # converged trials and those cut at max_cycles, the last of them
+    # that of the returned pmfs
+    T, p0, Psi = block
+    init = Psi / Psi.sum(axis=2, keepdims=True)
+
+    def run():
+        return marginal_sweep(T, p0, Psi, init, xi=xi, max_cycles=max_cycles,
+                              accelerated=accelerated, track_kld=True)
+
+    try:
+        alpha = batch_forward(T, p0, Psi)
+    except DegenerateObservation:
+        with pytest.raises(DegenerateObservation):
+            run()
+        return
+    p, nu_c, _, _, _, kld = run()
+    for b in range(Psi.shape[0]):
+        assert len(kld[b]) == nu_c[b]
+        last = batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]
+        assert np.array_equal(kld[b][-1], last, equal_nan=True)
 
 
 @SETTINGS

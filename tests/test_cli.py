@@ -74,6 +74,8 @@ def test_missing_seed_is_config_error(capsys):
     (["hmc-awgn", "--max-cycles", "0"], "max_cycles"),
     (["hmc-awgn", "--xi", "-1"], "xi"),
     (["hmc-awgn", "--xi", "nan"], "xi"),
+    (["hmc-awgn", "--jobs", "0"], "need jobs >= 1, got 0"),
+    (["freq", "--jobs", "-1"], "need jobs >= 1, got -1"),
 ])
 def test_non_positive_counts_are_config_errors(argv, word, capsys):
     rc = main(argv + ["--seed", "1", "--n", "8", "--ebn0", "10"])
@@ -148,6 +150,37 @@ def test_freq_csv_independent_of_chunk_and_jobs(tmp_path):
         assert main(base + extra + ["--out", path]) == 0
         bodies.append(open(path).read().split("\n", 1)[1])
     assert bodies[0] == bodies[1]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["hmc-awgn", "--ebn0", ","], "empty numeric list"),
+    (["freq", "--ebn0", ","], "empty numeric list"),
+    (["hmc-fading", "--rho", ","], "empty numeric list"),
+    (["hmc-fading", "--fdts", ","], "empty numeric list"),
+    (["hmc-awgn", "--methods", ","], "need at least one method"),
+    (["freq", "--methods", ","], "need at least one method"),
+    (["hmc-fading", "--rho", "0.5", "--fdts", "0.05"], "--rho or --fdts, not both"),
+])
+def test_empty_or_conflicting_lists_are_config_errors(argv, message, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    rc = main(argv + ["--seed", "1", "--trials", "2", "--n", "8", "--out", str(out)]
+              + (["--k", "2"] if argv[0] == "hmc-fading" else []))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd, methods", [("hmc-awgn", "ml,va"), ("freq", "pm,vb")])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_non_finite_ebn0_is_config_error(cmd, methods, value, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    rc = main([cmd, "--seed", "1", "--trials", "2", "--n", "8", "--methods", methods,
+               "--ebn0=" + value, "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error: need a finite Eb/N0 in dB, got %s" % value in err
+    assert not out.exists()
 
 
 def test_unknown_method_is_config_error(capsys):
