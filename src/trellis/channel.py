@@ -59,17 +59,29 @@ def snr_to_n0(ebn0_db):
     return 10.0 ** (-float(ebn0_db) / 10.0)
 
 
+# steps per block of gaussian_psi's complex differences
+_PSI_STEPS = 64
+
+
 def gaussian_psi(x, means, n0):
     """Row-rescaled Gaussian observation likelihoods.
 
     x (..., n) complex, means (M,) complex -> (..., n, M). Each row is
     divided by its peak (a shared per-row factor, so every inference
     method is unaffected), keeping exponentials in range at high SNR.
+    The distances go into the one output array a block of steps at a
+    time, and the rest runs in place: the bits of
+    exp(-|x - m|**2 / n0 - max) without a complex (..., n, M) temporary.
     """
-    d2 = np.abs(np.asarray(x)[..., None] - np.asarray(means)) ** 2
-    e = -d2 / float(n0)
+    x, means = np.asarray(x), np.asarray(means)
+    e = np.empty(x.shape + means.shape)
+    for i in range(0, x.shape[-1], _PSI_STEPS):
+        np.abs(x[..., i:i + _PSI_STEPS, None] - means, out=e[..., i:i + _PSI_STEPS, :])
+    np.square(e, out=e)
+    np.negative(e, out=e)
+    e /= float(n0)
     e -= e.max(axis=-1, keepdims=True)
-    return np.exp(e)
+    return np.exp(e, out=e)
 
 
 def sample_chain(T, p, u):
@@ -159,12 +171,17 @@ def channel_transition_matrix(K, rho, sigma2=0.5, quantizer=None):
     over the quantizer rectangles and columns are renormalized (the
     top cell is truncated, so the raw masses fall slightly short).
     Each (K, rho, sigma2, quantizer thresholds) is integrated once per
-    process; every call returns its own copy.
+    process; every call returns its own copy. A given quantizer must
+    have K cells and the same sigma2.
     """
     r = float(rho)
     if not 0.0 <= r < 1.0:
         raise ValueError("rho must be in [0, 1), got %r" % (rho,))
     q = quantizer if quantizer is not None else rayleigh_quantizer(K, sigma2)
+    if len(q.levels) != K:
+        raise ValueError("quantizer has %d cells, need K = %r" % (len(q.levels), K))
+    if q.sigma2 != float(sigma2):
+        raise ValueError("quantizer is for sigma2 = %r, need %r" % (q.sigma2, sigma2))
     if K == 1:
         # one cell: its column normalizes to 1.0 exactly, whatever it integrates to
         return np.ones((1, 1))
@@ -225,7 +242,11 @@ AugmentedModel = namedtuple(
 def augmented_model(T_s, constellation, T_c, quantizer):
     """Product chain of an M-state source and a K-cell gain channel."""
     M = constellation.M
-    K = T_c.shape[0]
+    K = len(quantizer.levels)
+    if T_s.shape != (M, M):
+        raise ValueError("T_s is %r, need %d x %d for the constellation" % (T_s.shape, M, M))
+    if T_c.shape != (K, K):
+        raise ValueError("T_c is %r, need %d x %d for the quantizer" % (T_c.shape, K, K))
     T = np.kron(T_c, T_s)
     p = np.full(M * K, 1.0 / (M * K))
     means = (quantizer.levels[:, None] * constellation.points[None, :]).ravel()

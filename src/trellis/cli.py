@@ -237,21 +237,26 @@ def _cmd_gdl_count(args):
         model = load_model(args.model)
     except (OSError, ValueError) as e:
         raise _ConfigError("bad model file: %s" % e)
-    print("m=%d M=%d n=%d" % (model.space.m, model.space.M, model.n))
-    print("NLN: " + _format_sets("[%d]", nln_partition(model)))
-    print("FA: " + _format_sets("(%d)", fa_partition(model)))
     keep = frozenset(_csv_ints(args.keep)) if args.keep else frozenset()
     if not keep <= model.universe:
         raise _ConfigError("keep set outside the model universe")
     split = args.split if args.split is not None else default_split(model.n)
+    last = max(model.n - 1, 1)
+    if not 1 <= split <= last:
+        raise _ConfigError("need 1 <= split <= %d, got %d" % (last, split))
+    # the counts are for summing out every variable that is not kept
+    S = model.universe - keep
+    print("m=%d M=%d n=%d" % (model.space.m, model.space.M, model.n))
+    print("NLN: " + _format_sets("[%d]", nln_partition(model)))
+    print("FA: " + _format_sets("(%d)", fa_partition(model)))
     print("keep={%s} split=%d semiring=%s" % (
         ",".join(str(v) for v in sorted(keep)), split, args.semiring))
     if args.mode in ("fb", "both"):
-        c = count_operators(model, keep, i=split, mode="fb")
+        c = count_operators(model, S, i=split, mode="fb")
         print("fb: ring_sum=%d ring_product=%d total=%d phi=%d" % (
             c["ring_sum"], c["ring_product"], c["total"], c["phi"]))
     if args.mode in ("naive", "both"):
-        c = count_operators(model, keep, mode="naive")
+        c = count_operators(model, S, mode="naive")
         print("naive: ring_sum=%d ring_product=%d total=%d lower=%d upper=%d" % (
             c["ring_sum"], c["ring_product"], c["total"], c["lower"], c["upper"]))
     return 0

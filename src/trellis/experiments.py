@@ -1,10 +1,11 @@
 """Monte Carlo drivers: symbol detection over AWGN/fading, tone RMS runs.
 
 Both runners take one path. `_check_run` checks the seed, the counts,
-the Eb/N0 and the methods; the point's model goes into one record,
-built once; `_map_chunks` calls the chunk worker on that record and
-each chunk's trial range [t0, t1), serially or on a process pool, and
-returns the partial results in trial order.
+the Eb/N0 and the methods, and `_noise_level` the noise level the
+Eb/N0 gives; the point's model goes into one record, built once;
+`_map_chunks` calls the chunk worker on that record and each chunk's
+trial range [t0, t1), serially or on a process pool, and returns the
+partial results in trial order.
 
 Determinism contract: every trial owns a counter-based generator keyed
 by master_seed XOR trial_index, with a fixed draw order per scenario
@@ -172,6 +173,22 @@ def _check_run(seed, trials, chunk, n, jobs, db, methods, known):
     return seed
 
 
+def _noise_level(formula, setting):
+    """formula(), which must be a positive finite float; setting names its inputs.
+
+    Python's float ** raises OverflowError rather than giving inf, so
+    the run's settings are reported here and not as a traceback.
+    """
+    try:
+        level = formula()
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("%s gives a noise level outside the float range" % setting) from None
+    if not 0.0 < level < np.inf:
+        raise ValueError("%s gives noise level %r; need it positive and finite"
+                         % (setting, level))
+    return level
+
+
 def _map_chunks(worker, point, trials, chunk, jobs):
     """worker(point, t0, t1) over the chunks of trials, results in trial order."""
     t0s = range(0, trials, chunk)
@@ -186,10 +203,10 @@ def run_experiment(cfg):
     """One (scenario, Eb/N0, rho) point; one result row dict per method."""
     seed = _check_run(cfg.seed, cfg.trials, cfg.chunk, cfg.n, cfg.jobs, cfg.ebn0_db,
                       cfg.methods, HMC_METHODS)
+    n0 = _noise_level(lambda: snr_to_n0(cfg.ebn0_db), "Eb/N0 %r dB" % (cfg.ebn0_db,))
     StoppingConfig(cfg.xi, cfg.max_cycles)
     const = QamConstellation(cfg.M)
     T_s, p_s = random_source(cfg.M, model_generator(seed))
-    n0 = snr_to_n0(cfg.ebn0_db)
     fading = cfg.scenario == "fading"
     if fading:
         if cfg.rho is None:
@@ -311,8 +328,12 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
         raise ValueError("need a finite prior variance r_a > 0, got %r" % (r_a,))
     if not np.isfinite(mu_a):
         raise ValueError("need a finite prior mean mu_a, got %r" % (mu_a,))
+    if not 0.0 <= omega_bins < n / 2:
+        raise ValueError("need 0 <= omega_bins < n/2 = %r, got %r" % (n / 2, omega_bins))
     omega = omega_bins * 2.0 * np.pi / n
-    r_e = (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0))
+    r_e = _noise_level(lambda: (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0)),
+                       "Eb/N0 %r dB with prior mean mu_a %r and variance r_a %r"
+                       % (snr_db, mu_a, r_a))
     point = _FreqPoint(seed, n, omega, r_e, mu_a, r_a, pad, cycles, tuple(methods))
     partials = _map_chunks(_run_freq_chunk, point, trials, chunk, jobs)
     bin_w = 2.0 * np.pi / n

@@ -151,9 +151,8 @@ def fb_reduce_sequential(model, sr, objectives, counter=None):
         return [_reduce(sr, model.factors[0], model.universe - o, counter)
                 for o in objs]
 
-    nln = nln_partition(model)
-    fa = fa_partition(model)
     topo = CITopology(model)
+    nln, fa = topo.nln, topo.fa
     in_proc = [topo.in_process(i) for i in range(1, n)]
 
     # ubars[k]: factors 1..k+1 folded, before nln[k] is eliminated;
@@ -214,8 +213,7 @@ def count_operators(model, S, i=None, mode="fb"):
     """Instrumented tallies plus the closed-form / bound bookkeeping."""
     # tallies are value-free, but the instrumented run must parse the
     # model's tables, so honor a trailing dual component pair
-    tail = model.factors[0].table.ndim - len(model.factors[0].vars)
-    sr = semiring("dual" if tail else "sum-product")
+    sr = semiring("dual" if model.factors[0].tail_dims else "sum-product")
     c = OpCounter()
     m, M = model.space.m, model.space.M
     if mode == "fb":

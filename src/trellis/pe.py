@@ -73,17 +73,17 @@ def _quartic_coeffs(m1_j, m2_j, m3_j, s_i, s_j, rho):
     return c, a3, a2, a1
 
 
-def pe_vb(model, span=8.0, tol=1e-10, max_iter=300):
+def pe_vb(model):
     """Mean-field marginals on the original (centered) axes.
 
-    Returns two _GridFactor marginals of t_i = theta_i - mu_i plus the
-    converged moments. Raises if the moment iteration stalls.
+    Returns _GridFactor marginals of t_i = theta_i - mu_i on +-8 sd and
+    the moments once none moves by 1e-10; raises after 300 sweeps.
     """
     s = np.sqrt(np.diag(model.Sigma))
     rho = model.rho
     moments = np.array([[0.0, s[0] ** 2, 0.0], [0.0, s[1] ** 2, 0.0]])
     factors = [None, None]
-    for _ in range(max_iter):
+    for _ in range(300):
         prev = moments.copy()
         for i in range(2):
             j = 1 - i
@@ -92,9 +92,9 @@ def pe_vb(model, span=8.0, tol=1e-10, max_iter=300):
             def logf(t, c=c, a3=a3, a2=a2, a1=a1, s4=s[i] ** 4):
                 return -c * (t ** 4 / s4 + a3 * t ** 3 + a2 * t ** 2 + a1 * t)
 
-            factors[i] = _GridFactor((-span * s[i], span * s[i]), logf)
+            factors[i] = _GridFactor((-8.0 * s[i], 8.0 * s[i]), logf)
             moments[i] = [factors[i].moment(k) for k in (1, 2, 3)]
-        if np.max(np.abs(moments - prev)) < tol:
+        if np.max(np.abs(moments - prev)) < 1e-10:
             return factors, moments
     raise RuntimeError("quartic mean-field moments did not settle")
 
@@ -111,7 +111,7 @@ def _transform(model):
     return A, d
 
 
-def pe_tvb(model, span=8.0, tol=1e-12, max_iter=200):
+def pe_tvb(model):
     """Mean-field in the decoupled metric.
 
     The transformed density is proportional to exp(-(phi' D phi)^2/2)
@@ -121,7 +121,7 @@ def pe_tvb(model, span=8.0, tol=1e-12, max_iter=200):
     _, lam = _transform(model)
     m2 = np.zeros(2)
     factors = [None, None]
-    for _ in range(max_iter):
+    for _ in range(200):
         prev = m2.copy()
         for i in range(2):
             j = 1 - i
@@ -130,9 +130,9 @@ def pe_tvb(model, span=8.0, tol=1e-12, max_iter=200):
             def logf(t, li=lam[i], cj=cj):
                 return -0.5 * (li * t ** 2 + cj) ** 2
 
-            factors[i] = _GridFactor((-span / np.sqrt(lam[i]), span / np.sqrt(lam[i])), logf)
+            factors[i] = _GridFactor((-8.0 / np.sqrt(lam[i]), 8.0 / np.sqrt(lam[i])), logf)
             m2[i] = factors[i].moment(2)
-        if np.max(np.abs(m2 - prev)) < tol:
+        if np.max(np.abs(m2 - prev)) < 1e-12:
             return factors, m2, lam
     raise RuntimeError("transformed mean-field moments did not settle")
 

@@ -6,6 +6,10 @@ not required; reductions are only ever taken over non-empty axes.
 Values are plain floats except for the dual instance, whose tables
 carry a trailing axis of length 2 holding (real, dual) parts.
 trellis.batch runs its forward-backward pass over these same instances.
+
+The four instances are module constants, so their laws are fixed:
+check_laws spot-checks them in the tests and the CLI selftest, and
+semiring(name) is a plain registry lookup.
 """
 
 from collections import namedtuple
@@ -37,8 +41,7 @@ def _dual_combine(x, y):
     return out
 
 
-# The chain kernel's default; semiring("sum-product") returns this same
-# object, with its laws checked on that first call rather than at import.
+# The chain kernel's default; semiring("sum-product") returns this same object.
 SUM_PRODUCT = Semiring("sum-product", np.add, np.multiply, 0.1, 2.0, 0)
 
 _RINGS = {sr.name: sr for sr in (
@@ -82,14 +85,9 @@ def check_laws(sr, rng=None, triples=100, rtol=1e-9):
 
 ALL_SEMIRINGS = tuple(_RINGS)
 
-_checked = set()
-
 
 def semiring(name):
-    """Return the named instance, validating its laws on first use."""
+    """Return the named instance; KeyError for an unknown name."""
     if name not in _RINGS:
         raise KeyError("unknown semiring %r" % name)
-    if name not in _checked:
-        check_laws(_RINGS[name])
-        _checked.add(name)
     return _RINGS[name]

@@ -1,8 +1,10 @@
-"""The benchmark's traced replay against the CLI it mirrors.
+"""The benchmark's entry points against the library they call.
 
 perfbench/replay.py rebuilds each CLI workload from the parser and the
-library's public calls. A front-end change that the replay does not
-follow would otherwise only show in the benchmark's own traced run.
+library's public calls, exact_small.py runs the scalar chain API and
+the factor engine, and workloads.py makes each workload's set-up calls.
+A change to a call that one of them makes would otherwise only show in
+a benchmark run.
 """
 
 import json
@@ -18,6 +20,14 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 
 
+ENV = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
+
+
+def _perfbench(script, *args):
+    return subprocess.run([sys.executable, os.path.join(PERFBENCH, script), *args],
+                          env=ENV, timeout=120)
+
+
 @pytest.mark.parametrize("workload", ["awgn-4qam", "fading-16qam", "freq-n64"])
 def test_replay_reproduces_cli_csv(workload, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(PERFBENCH)
@@ -25,12 +35,25 @@ def test_replay_reproduces_cli_csv(workload, tmp_path, monkeypatch):
     from workloads import cli_argv
 
     traced = str(tmp_path / "traced.json")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"), PYTHONDONTWRITEBYTECODE="1")
-    subprocess.run([sys.executable, os.path.join(PERFBENCH, "replay.py"), workload, "0",
-                    traced, "--tiny"], check=True, env=env, timeout=120)
+    assert _perfbench("replay.py", workload, "0", traced, "--tiny").returncode == 0
     with open(traced) as fh:
         replayed = json.load(fh)["csv"]
     out = str(tmp_path / "cli.csv")
     assert main(cli_argv(workload, 0, out, tiny=True)) == 0
     with open(out) as fh:
         assert csv_body(fh.read()) == csv_body(replayed)
+
+
+def test_exact_small_passes_its_oracle_checks(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from checks import exact_problems
+
+    path = str(tmp_path / "exact.json")
+    assert _perfbench("exact_small.py", "0", path, "--tiny").returncode == 0
+    with open(path) as fh:
+        assert exact_problems(0, json.load(fh), True) == []
+
+
+@pytest.mark.parametrize("workload", ["awgn-4qam", "fading-16qam", "freq-n64", "exact-small"])
+def test_workload_setup_runs(workload):
+    assert _perfbench("workloads.py", workload, "0", "--tiny").returncode == 0

@@ -235,7 +235,8 @@ def test_transition_matrix_memo(monkeypatch, empty_memo):
     assert len(builds) == 1 and len(empty_memo) == 1
     # sigma2 and the thresholds are both part of the key
     c = channel_transition_matrix(3, 0.5, sigma2=0.7)
-    d = channel_transition_matrix(3, 0.5, quantizer=rayleigh_quantizer(3, 0.7))
+    q = rayleigh_quantizer(3)
+    d = channel_transition_matrix(3, 0.5, quantizer=q._replace(thresholds=1.1 * q.thresholds))
     assert len(builds) == 3 and len(empty_memo) == 3
     assert not np.array_equal(c, b) and not np.array_equal(d, b)
 
@@ -255,6 +256,26 @@ def test_transition_matrix_rejects_rho_outside_unit_interval(rho, monkeypatch, e
 def test_quantizer_rejects_bad_sigma2(sigma2):
     with pytest.raises(ValueError, match="sigma2"):
         rayleigh_quantizer(4, sigma2)
+
+
+@pytest.mark.parametrize("quantizer, word", [
+    (lambda: rayleigh_quantizer(2, 2.0), "sigma2"),
+    (lambda: rayleigh_quantizer(3), "cells"),
+    (lambda: rayleigh_quantizer(1), "cells"),
+])
+def test_transition_matrix_rejects_a_quantizer_for_another_model(quantizer, word):
+    q = quantizer()
+    with pytest.raises(ValueError, match=word):
+        channel_transition_matrix(2, 0.5, 0.5, quantizer=q)
+
+
+@pytest.mark.parametrize("M_src, K_chain", [(4, 4), (2, 2), (16, 2)])
+def test_augmented_model_rejects_mismatched_chains(M_src, K_chain):
+    # a 4-QAM source with a 2-cell quantizer needs a 4 x 4 T_s and a 2 x 2 T_c
+    T_s = np.full((M_src, M_src), 1.0 / M_src)
+    T_c = np.full((K_chain, K_chain), 1.0 / K_chain)
+    with pytest.raises(ValueError, match="T_s" if M_src != 4 else "T_c"):
+        augmented_model(T_s, QamConstellation(4), T_c, rayleigh_quantizer(2))
 
 
 def test_augmented_kron_columns():
@@ -298,6 +319,42 @@ def test_gaussian_psi_shape_and_peak():
     assert_allclose(Psi.max(axis=-1), 1.0)
     nearest = np.argmin(np.abs(x[..., None] - c.points), axis=-1)
     assert np.array_equal(np.argmax(Psi, axis=-1), nearest)
+
+
+def _psi_reference(x, means, n0):
+    d2 = np.abs(np.asarray(x)[..., None] - np.asarray(means)) ** 2
+    e = -d2 / float(n0)
+    e -= e.max(axis=-1, keepdims=True)
+    return np.exp(e)
+
+
+@pytest.mark.parametrize("shape", [(7,), (64,), (130,), (1, 1), (3, 129), (2, 2, 65)])
+@pytest.mark.parametrize("n0", [1e-3, 0.5, 4.0])
+def test_gaussian_psi_bits_match_the_direct_formula(shape, n0):
+    rng = np.random.default_rng(75)
+    means = QamConstellation(16).points
+    x = rng.choice(means, size=shape) + 0.4 * (rng.standard_normal(shape)
+                                               + 1j * rng.standard_normal(shape))
+    got = gaussian_psi(x, means, n0)
+    assert got.dtype == np.float64
+    assert got.tobytes() == _psi_reference(x, means, n0).tobytes()
+
+
+def test_gaussian_psi_holds_no_complex_copy_of_its_output():
+    import tracemalloc
+
+    rng = np.random.default_rng(76)
+    means = QamConstellation(16).points
+    x = rng.standard_normal((8, 1000)) + 1j * rng.standard_normal((8, 1000))
+    tracemalloc.start()
+    try:
+        out = gaussian_psi(x, means, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the output plus one block of steps; a complex (8, 1000, 16)
+    # difference alone would be twice the output
+    assert peak < 1.5 * out.nbytes
 
 
 def test_sample_chain_statistics():

@@ -183,6 +183,28 @@ def test_non_finite_ebn0_is_config_error(cmd, methods, value, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hmc-awgn", "--ebn0=-4000"], "Eb/N0 -4000.0 dB gives a noise level outside"),
+    (["hmc-awgn", "--ebn0=4000"], "Eb/N0 4000.0 dB gives noise level 0.0"),
+    (["freq", "--ebn0=4000"], "Eb/N0 4000.0 dB with prior mean"),
+    (["freq", "--ebn0=-4000"], "Eb/N0 -4000.0 dB with prior mean"),
+    (["freq", "--mu-a=1e200"], "mu_a 1e+200"),
+    (["freq", "--omega-bins=nan"], "omega_bins"),
+    (["freq", "--omega-bins=inf"], "omega_bins"),
+    (["freq", "--omega-bins=-0.5"], "omega_bins"),
+    (["freq", "--n=64", "--omega-bins=40"], "need 0 <= omega_bins < n/2 = 32.0, got 40.0"),
+])
+def test_unusable_noise_level_or_tone_is_config_error(argv, message, tmp_path, capsys):
+    out = tmp_path / "run.csv"
+    # argv's own flags come last, so its --n overrides the default here
+    rc = main(argv[:1] + ["--seed", "1", "--trials", "2", "--n", "8", "--out", str(out)]
+              + argv[1:])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "config error: " in err and message in err
+    assert not out.exists()
+
+
 def test_unknown_method_is_config_error(capsys):
     rc = main(["hmc-awgn", "--seed", "1", "--trials", "2", "--n", "8",
                "--methods", "bogus"])
@@ -240,12 +262,36 @@ def test_gdl_count_worked_example(tmp_path, capsys):
     assert int(nv["lower"]) <= int(nv["total"]) <= int(nv["upper"])
 
 
+def test_gdl_count_keeps_what_keep_names(tmp_path, capsys):
+    path = str(tmp_path / "ex5.model")
+    save_model(_ex5_model(), path)
+    assert main(["gdl-count", "--model", path, "--keep", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3] == "keep={1} split=2 semiring=sum-product"
+    # summing out {2,3,4,5}; summing out {1} alone would be 72
+    assert lines[4] == "fb: ring_sum=14 ring_product=20 total=34 phi=32"
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--split", "0"], "split"),
+    (["--split", "4"], "split"),
+    (["--keep", "1,x"], "bad integer list"),
+])
+def test_gdl_count_config_error_prints_nothing(flags, message, tmp_path, capsys):
+    path = str(tmp_path / "ex5.model")
+    save_model(_ex5_model(), path)
+    assert main(["gdl-count", "--model", path] + flags) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and message in err
+
+
 def test_gdl_count_keep_outside_universe(tmp_path, capsys):
     path = str(tmp_path / "ex5.model")
     save_model(_ex5_model(), path)
     rc = main(["gdl-count", "--model", path, "--keep", "6"])
     assert rc == 1
-    assert "keep set outside" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == "" and "keep set outside" in err
 
 
 def test_gdl_count_bad_model_file(tmp_path, capsys):

@@ -1,11 +1,18 @@
 """Semiring instances: laws, reductions, and the dual-number tables."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+import trellis
 from trellis.semiring import ALL_SEMIRINGS, Semiring, check_laws, semiring
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(trellis.__file__)))
 
 finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
 positive = st.floats(min_value=0.01, max_value=50, allow_nan=False)
@@ -21,6 +28,18 @@ def test_registry_names():
 
 def test_registry_caches_instances():
     assert semiring("max-sum") is semiring("max-sum")
+
+
+def test_lookup_runs_no_law_check():
+    # a fresh process, so no earlier lookup has run anything yet
+    code = ("import importlib\n"
+            "m = importlib.import_module('trellis.semiring')\n"
+            "def boom(*a, **k): raise AssertionError('law check on lookup')\n"
+            "m.check_laws = boom\n"
+            "for name in m.ALL_SEMIRINGS: m.semiring(name)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=SRC), timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("name", ALL_SEMIRINGS)
