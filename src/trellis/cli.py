@@ -173,7 +173,8 @@ def _write(args, header, rows, x_field=None, metrics=()):
 
 def _cmd_hmc(args):
     from .channel import rho_from_doppler
-    from .experiments import ExperimentConfig, HMC_CSV_HEADER, run_experiment
+    from .experiments import (ExperimentConfig, HMC_CSV_HEADER, check_experiment,
+                              run_experiment)
 
     ebn0s = _csv_floats(args.ebn0)
     if args.cmd == "hmc-fading":
@@ -191,29 +192,31 @@ def _cmd_hmc(args):
         rhos = [None]
         K = 1
         sigma2 = 0.5
-    rows = []
-    for e in ebn0s:
-        for rho in rhos:
-            rows.extend(run_experiment(ExperimentConfig(
-                scenario=args.scenario, M=args.m, K=K, ebn0_db=e, rho=rho,
-                n=args.n, trials=args.trials, seed=args.seed, methods=_methods(args),
-                xi=args.xi, max_cycles=args.max_cycles, chunk=args.chunk,
-                jobs=args.jobs, sigma2=sigma2)))
+    cfgs = [ExperimentConfig(
+        scenario=args.scenario, M=args.m, K=K, ebn0_db=e, rho=rho,
+        n=args.n, trials=args.trials, seed=args.seed, methods=_methods(args),
+        xi=args.xi, max_cycles=args.max_cycles, chunk=args.chunk,
+        jobs=args.jobs, sigma2=sigma2) for e in ebn0s for rho in rhos]
+    # a bad later point fails before the first one runs
+    for cfg in cfgs:
+        check_experiment(cfg)
+    rows = [row for cfg in cfgs for row in run_experiment(cfg)]
     rows.sort(key=_sort_key)
     return _write(args, HMC_CSV_HEADER, rows, "rho" if len(rhos) > 1 else "ebn0_db",
                   ["ber", "ber_ci95", "nu_c_mean", "nu_e_mean", "kld_mean", "wall_ms"])
 
 
 def _cmd_freq(args):
-    from .experiments import FREQ_CSV_HEADER, run_freq_experiment
+    from .experiments import FREQ_CSV_HEADER, check_freq_experiment, run_freq_experiment
 
-    rows = []
-    for snr in _csv_floats(args.ebn0):
-        rows.extend(run_freq_experiment(
-            n=args.n, snr_db=snr, trials=args.trials, seed=args.seed,
-            omega_bins=args.omega_bins, pad=args.pad, cycles=args.cycles,
-            mu_a=args.mu_a, r_a=args.r_a, methods=_methods(args),
-            chunk=args.chunk, jobs=args.jobs))
+    points = [dict(n=args.n, snr_db=snr, trials=args.trials, seed=args.seed,
+                   omega_bins=args.omega_bins, cycles=args.cycles, mu_a=args.mu_a,
+                   r_a=args.r_a, methods=_methods(args), chunk=args.chunk, jobs=args.jobs)
+              for snr in _csv_floats(args.ebn0)]
+    # a bad later point fails before the first one runs
+    for kw in points:
+        check_freq_experiment(**kw)
+    rows = [row for kw in points for row in run_freq_experiment(pad=args.pad, **kw)]
     rows.sort(key=lambda r: (r["snr_db"], r["n"], r["omega_bins"], r["method"]))
     return _write(args, FREQ_CSV_HEADER, rows, "snr_db", ["rms_bins"])
 
@@ -241,24 +244,22 @@ def _cmd_gdl_count(args):
     if not keep <= model.universe:
         raise _ConfigError("keep set outside the model universe")
     split = args.split if args.split is not None else default_split(model.n)
-    last = max(model.n - 1, 1)
-    if not 1 <= split <= last:
-        raise _ConfigError("need 1 <= split <= %d, got %d" % (last, split))
-    # the counts are for summing out every variable that is not kept
+    # the counts are for summing out every variable that is not kept; they
+    # come first, so a bad split fails before anything is printed
     S = model.universe - keep
+    fb = count_operators(model, S, i=split, mode="fb") if args.mode != "naive" else None
+    nv = count_operators(model, S, mode="naive") if args.mode != "fb" else None
     print("m=%d M=%d n=%d" % (model.space.m, model.space.M, model.n))
     print("NLN: " + _format_sets("[%d]", nln_partition(model)))
     print("FA: " + _format_sets("(%d)", fa_partition(model)))
     print("keep={%s} split=%d semiring=%s" % (
         ",".join(str(v) for v in sorted(keep)), split, args.semiring))
-    if args.mode in ("fb", "both"):
-        c = count_operators(model, S, i=split, mode="fb")
+    if fb is not None:
         print("fb: ring_sum=%d ring_product=%d total=%d phi=%d" % (
-            c["ring_sum"], c["ring_product"], c["total"], c["phi"]))
-    if args.mode in ("naive", "both"):
-        c = count_operators(model, S, mode="naive")
+            fb["ring_sum"], fb["ring_product"], fb["total"], fb["phi"]))
+    if nv is not None:
         print("naive: ring_sum=%d ring_product=%d total=%d lower=%d upper=%d" % (
-            c["ring_sum"], c["ring_product"], c["total"], c["lower"], c["upper"]))
+            nv["ring_sum"], nv["ring_product"], nv["total"], nv["lower"], nv["upper"]))
     return 0
 
 

@@ -1,8 +1,9 @@
 """Monte Carlo drivers: symbol detection over AWGN/fading, tone RMS runs.
 
-Both runners take one path. `_check_run` checks the seed, the counts,
-the Eb/N0 and the methods, and `_noise_level` the noise level the
-Eb/N0 gives; the point's model goes into one record, built once;
+Both runners take one path. `check_experiment` / `check_freq_experiment`
+check the point first, drawing nothing: `_check_run` the seed, the
+counts, the Eb/N0 and the methods, and `_noise_level` the noise level
+the Eb/N0 gives; the point's model goes into one record, built once;
 `_map_chunks` calls the chunk worker on that record and each chunk's
 trial range [t0, t1), serially or on a process pool, and returns the
 partial results in trial order.
@@ -199,27 +200,37 @@ def _map_chunks(worker, point, trials, chunk, jobs):
     return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
 
 
-def run_experiment(cfg):
-    """One (scenario, Eb/N0, rho) point; one result row dict per method."""
+def check_experiment(cfg):
+    """The checks of run_experiment(cfg), which build and draw nothing.
+
+    Returns (seed, n0). A caller with many points checks them all
+    before the first runs.
+    """
     seed = _check_run(cfg.seed, cfg.trials, cfg.chunk, cfg.n, cfg.jobs, cfg.ebn0_db,
                       cfg.methods, HMC_METHODS)
     n0 = _noise_level(lambda: snr_to_n0(cfg.ebn0_db), "Eb/N0 %r dB" % (cfg.ebn0_db,))
     StoppingConfig(cfg.xi, cfg.max_cycles)
+    if cfg.scenario not in ("awgn", "fading"):
+        raise ValueError("scenario must be 'awgn' or 'fading'")
+    if cfg.scenario == "fading" and cfg.rho is None:
+        raise ValueError("fading needs rho")
+    return seed, n0
+
+
+def run_experiment(cfg):
+    """One (scenario, Eb/N0, rho) point; one result row dict per method."""
+    seed, n0 = check_experiment(cfg)
     const = QamConstellation(cfg.M)
     T_s, p_s = random_source(cfg.M, model_generator(seed))
     fading = cfg.scenario == "fading"
     if fading:
-        if cfg.rho is None:
-            raise ValueError("fading needs rho")
         quant = rayleigh_quantizer(cfg.K, cfg.sigma2)
         T_c = channel_transition_matrix(cfg.K, cfg.rho, cfg.sigma2, quantizer=quant)
         aug = augmented_model(T_s, const, T_c, quant)
         T, p, means = aug.T, aug.p, aug.means
-    elif cfg.scenario == "awgn":
+    else:
         T_c = None
         T, p, means = T_s, p_s, const.points.copy()
-    else:
-        raise ValueError("scenario must be 'awgn' or 'fading'")
 
     point = _HmcPoint(fading, seed, cfg.n, n0, T, p, means, T_s, p_s, T_c, cfg.M,
                       tuple(cfg.methods), cfg.xi, cfg.max_cycles, const.bit_distance)
@@ -313,13 +324,11 @@ def _sum_in_trial_order(m, parts):
     return total
 
 
-def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5,
-                        mu_a=1.0, r_a=0.1, methods=FREQ_METHODS, chunk=2000, jobs=1):
-    """Tone-frequency RMS (in bins) per method at one SNR per bit.
+def check_freq_experiment(n, snr_db, trials, seed, omega_bins, cycles, mu_a, r_a,
+                          methods, chunk, jobs):
+    """The checks of run_freq_experiment, which draw nothing; returns (seed, omega, r_e).
 
-    The transmitted amplitude is fixed at the prior mean; the prior
-    variance still enters the inference and the SNR definition, which
-    sets r_e = (mu_a^2 + r_a) / (2 * 10^(dB/10)).
+    A caller with many points checks them all before the first runs.
     """
     seed = _check_run(seed, trials, chunk, n, jobs, snr_db, methods, FREQ_METHODS)
     if cycles < 0:
@@ -334,6 +343,19 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     r_e = _noise_level(lambda: (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0)),
                        "Eb/N0 %r dB with prior mean mu_a %r and variance r_a %r"
                        % (snr_db, mu_a, r_a))
+    return seed, omega, r_e
+
+
+def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5,
+                        mu_a=1.0, r_a=0.1, methods=FREQ_METHODS, chunk=2000, jobs=1):
+    """Tone-frequency RMS (in bins) per method at one SNR per bit.
+
+    The transmitted amplitude is fixed at the prior mean; the prior
+    variance still enters the inference and the SNR definition, which
+    sets r_e = (mu_a^2 + r_a) / (2 * 10^(dB/10)).
+    """
+    seed, omega, r_e = check_freq_experiment(n, snr_db, trials, seed, omega_bins, cycles,
+                                             mu_a, r_a, methods, chunk, jobs)
     point = _FreqPoint(seed, n, omega, r_e, mu_a, r_a, pad, cycles, tuple(methods))
     partials = _map_chunks(_run_freq_chunk, point, trials, chunk, jobs)
     bin_w = 2.0 * np.pi / n

@@ -235,10 +235,14 @@ def test_transition_matrix_memo(monkeypatch, empty_memo):
     assert len(builds) == 1 and len(empty_memo) == 1
     # sigma2 and the thresholds are both part of the key
     c = channel_transition_matrix(3, 0.5, sigma2=0.7)
+    # the thresholds of c with sigma2 0.5: only sigma2 differs from c
+    q7 = rayleigh_quantizer(3, 0.7)
+    d = channel_transition_matrix(3, 0.5, quantizer=q7._replace(sigma2=0.5))
+    # the thresholds of b scaled: only the thresholds differ from b
     q = rayleigh_quantizer(3)
-    d = channel_transition_matrix(3, 0.5, quantizer=q._replace(thresholds=1.1 * q.thresholds))
-    assert len(builds) == 3 and len(empty_memo) == 3
-    assert not np.array_equal(c, b) and not np.array_equal(d, b)
+    e = channel_transition_matrix(3, 0.5, quantizer=q._replace(thresholds=1.1 * q.thresholds))
+    assert len(builds) == 4 and len(empty_memo) == 4
+    assert not np.array_equal(d, c) and not np.array_equal(e, b)
 
 
 @pytest.mark.parametrize("rho", [1.0, 1.5, -0.1, float("nan"), float("inf")])

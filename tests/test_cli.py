@@ -205,6 +205,26 @@ def test_unusable_noise_level_or_tone_is_config_error(argv, message, tmp_path, c
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, runner", [
+    (["hmc-awgn", "--ebn0", "6,4000"], "run_experiment"),
+    (["freq", "--ebn0", "5,4000"], "run_freq_experiment"),
+    (["freq", "--ebn0", "5,-4000"], "run_freq_experiment"),
+])
+def test_bad_later_point_fails_before_any_point_runs(argv, runner, monkeypatch, tmp_path,
+                                                      capsys):
+    import trellis.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a point ran before every point was checked")
+
+    monkeypatch.setattr(experiments, runner, no_run)
+    out = tmp_path / "run.csv"
+    rc = main(argv + ["--seed", "1", "--trials", "2", "--n", "8", "--out", str(out)])
+    assert rc == 1
+    assert "config error: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_unknown_method_is_config_error(capsys):
     rc = main(["hmc-awgn", "--seed", "1", "--trials", "2", "--n", "8",
                "--methods", "bogus"])
