@@ -14,7 +14,7 @@ from math import isqrt
 import numpy as np
 
 from .numerics import (adaptive_simpson_1d, adaptive_simpson_2d,
-                       bessel_i0_log, bessel_j0, safe_log)
+                       bessel_i0_log, bessel_j0, exp_inplace, safe_log)
 
 
 class QamConstellation:
@@ -59,7 +59,7 @@ def snr_to_n0(ebn0_db):
     return 10.0 ** (-float(ebn0_db) / 10.0)
 
 
-# steps per block of gaussian_psi's complex differences
+# steps per block of gaussian_psi
 _PSI_STEPS = 64
 
 
@@ -69,19 +69,22 @@ def gaussian_psi(x, means, n0):
     x (..., n) complex, means (M,) complex -> (..., n, M). Each row is
     divided by its peak (a shared per-row factor, so every inference
     method is unaffected), keeping exponentials in range at high SNR.
-    The distances go into the one output array a block of steps at a
-    time, and the rest runs in place: the bits of
-    exp(-|x - m|**2 / n0 - max) without a complex (..., n, M) temporary.
+    Each block of steps is built in place in the one output array: the
+    bits of exp(-|x - m|**2 / n0 - max) without a complex (..., n, M)
+    temporary, and with exp_inplace's mask no larger than a block.
     """
     x, means = np.asarray(x), np.asarray(means)
+    n0 = float(n0)
     e = np.empty(x.shape + means.shape)
     for i in range(0, x.shape[-1], _PSI_STEPS):
-        np.abs(x[..., i:i + _PSI_STEPS, None] - means, out=e[..., i:i + _PSI_STEPS, :])
-    np.square(e, out=e)
-    np.negative(e, out=e)
-    e /= float(n0)
-    e -= e.max(axis=-1, keepdims=True)
-    return np.exp(e, out=e)
+        b = e[..., i:i + _PSI_STEPS, :]
+        np.abs(x[..., i:i + _PSI_STEPS, None] - means, out=b)
+        np.square(b, out=b)
+        np.negative(b, out=b)
+        b /= n0
+        b -= b.max(axis=-1, keepdims=True)
+        exp_inplace(b)
+    return e
 
 
 def sample_chain(T, p, u):
@@ -117,6 +120,22 @@ def rho_from_doppler(fd_ts):
 QuantizerSpec = namedtuple("QuantizerSpec", ["thresholds", "levels", "sigma2"])
 
 
+def check_rho(rho):
+    """rho as a float: a gain correlation must lie in [0, 1)."""
+    r = float(rho)
+    if not 0.0 <= r < 1.0:
+        raise ValueError("rho must be in [0, 1), got %r" % (rho,))
+    return r
+
+
+def check_sigma2(sigma2):
+    """sigma2 as a float: a Gaussian component variance must be positive and finite."""
+    s2 = float(sigma2)
+    if not 0.0 < s2 < np.inf:
+        raise ValueError("sigma2 must be positive and finite, got %r" % (sigma2,))
+    return s2
+
+
 def rayleigh_quantizer(K, sigma2=0.5):
     """Equiprobable K-cell quantizer for a Rayleigh gain.
 
@@ -127,9 +146,7 @@ def rayleigh_quantizer(K, sigma2=0.5):
     K = int(K)
     if K < 1:
         raise ValueError("K must be positive")
-    s2 = float(sigma2)
-    if not 0.0 < s2 < np.inf:
-        raise ValueError("sigma2 must be positive and finite, got %r" % (sigma2,))
+    s2 = check_sigma2(sigma2)
     thr = np.empty(K + 1)
     thr[0] = 0.0
     k = np.arange(1, K)
@@ -148,9 +165,7 @@ def rayleigh_quantizer(K, sigma2=0.5):
 def rayleigh_pair_logpdf(gi, gj, rho, sigma2):
     """Log joint density of two correlated Rayleigh gains (rho in [0, 1))."""
     s2 = float(sigma2)
-    r = float(rho)
-    if not 0.0 <= r < 1.0:
-        raise ValueError("rho must be in [0, 1)")
+    r = check_rho(rho)
     q = 1.0 - r * r
     out = safe_log(gi) + safe_log(gj) - np.log(s2 * s2 * q)
     out = out - (gi ** 2 + gj ** 2) / (2.0 * s2 * q)
@@ -174,9 +189,7 @@ def channel_transition_matrix(K, rho, sigma2=0.5, quantizer=None):
     process; every call returns its own copy. A given quantizer must
     have K cells and the same sigma2.
     """
-    r = float(rho)
-    if not 0.0 <= r < 1.0:
-        raise ValueError("rho must be in [0, 1), got %r" % (rho,))
+    r = check_rho(rho)
     q = quantizer if quantizer is not None else rayleigh_quantizer(K, sigma2)
     if len(q.levels) != K:
         raise ValueError("quantizer has %d cells, need K = %r" % (len(q.levels), K))

@@ -98,7 +98,6 @@ def build_parser():
     sp.add_argument("--model", required=True, help="model file (header 'm M n')")
     sp.add_argument("--keep", default="", help="comma list of variables to keep")
     sp.add_argument("--split", type=int, default=None)
-    sp.add_argument("--semiring", default="sum-product")
     sp.add_argument("--mode", default="both", choices=["fb", "naive", "both"])
     sp.add_argument("--config", default=None)
 
@@ -232,10 +231,7 @@ def _format_sets(tag_fmt, sets):
 def _cmd_gdl_count(args):
     from .factors import fa_partition, load_model, nln_partition
     from .gdl import count_operators, default_split
-    from .semiring import ALL_SEMIRINGS
 
-    if args.semiring not in ALL_SEMIRINGS:
-        raise _ConfigError("unknown semiring %r" % args.semiring)
     try:
         model = load_model(args.model)
     except (OSError, ValueError) as e:
@@ -252,8 +248,7 @@ def _cmd_gdl_count(args):
     print("m=%d M=%d n=%d" % (model.space.m, model.space.M, model.n))
     print("NLN: " + _format_sets("[%d]", nln_partition(model)))
     print("FA: " + _format_sets("(%d)", fa_partition(model)))
-    print("keep={%s} split=%d semiring=%s" % (
-        ",".join(str(v) for v in sorted(keep)), split, args.semiring))
+    print("keep={%s} split=%d" % (",".join(str(v) for v in sorted(keep)), split))
     if fb is not None:
         print("fb: ring_sum=%d ring_product=%d total=%d phi=%d" % (
             fb["ring_sum"], fb["ring_product"], fb["total"], fb["phi"]))

@@ -2,8 +2,9 @@
 
 Both runners take one path. `check_experiment` / `check_freq_experiment`
 check the point first, drawing nothing: `_check_run` the seed, the
-counts, the Eb/N0 and the methods, and `_noise_level` the noise level
-the Eb/N0 gives; the point's model goes into one record, built once;
+counts, the Eb/N0 and the methods, `_noise_level` the noise level
+the Eb/N0 gives, and the channel's own rules a fading point's rho and
+sigma2; the point's model goes into one record, built once;
 `_map_chunks` calls the chunk worker on that record and each chunk's
 trial range [t0, t1), serially or on a process pool, and returns the
 partial results in trial order.
@@ -23,7 +24,6 @@ wall_ms, come from integer counts and do not.
 import sys
 import time
 from collections import namedtuple
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -34,6 +34,8 @@ from .channel import (
     augmented_model,
     awgn_observe,
     channel_transition_matrix,
+    check_rho,
+    check_sigma2,
     gaussian_psi,
     random_source,
     rayleigh_quantizer,
@@ -195,6 +197,9 @@ def _map_chunks(worker, point, trials, chunk, jobs):
     t0s = range(0, trials, chunk)
     t1s = [min(t0 + chunk, trials) for t0 in t0s]
     if jobs > 1:
+        # imported here: a serial run, the default, never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as ex:
             return list(ex.map(worker, [point] * len(t0s), t0s, t1s))
     return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
@@ -212,8 +217,11 @@ def check_experiment(cfg):
     StoppingConfig(cfg.xi, cfg.max_cycles)
     if cfg.scenario not in ("awgn", "fading"):
         raise ValueError("scenario must be 'awgn' or 'fading'")
-    if cfg.scenario == "fading" and cfg.rho is None:
-        raise ValueError("fading needs rho")
+    if cfg.scenario == "fading":
+        if cfg.rho is None:
+            raise ValueError("fading needs rho")
+        check_rho(cfg.rho)
+        check_sigma2(cfg.sigma2)
     return seed, n0
 
 

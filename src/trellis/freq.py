@@ -53,10 +53,26 @@ def dft_grid(n, pad=8):
     return 2.0 * np.pi * np.arange(G // 2) / G
 
 
+def _grid_key(grid):
+    return np.ascontiguousarray(grid, dtype=float).tobytes()
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_table(grid_bytes, n):
+    ph = np.exp(-1j * np.outer(np.frombuffer(grid_bytes), np.arange(n)))
+    ph.flags.writeable = False
+    return ph
+
+
 def periodogram(x, grid):
+    """|sum_i x_i exp(-j Omega i)|^2 at each grid point; x is (n,) or (B, n).
+
+    The (G, n) phase table depends only on (grid, n), so it is built
+    once and shared read-only, as the Bayesian calls share their sin
+    table (see _design).
+    """
     x = np.asarray(x)
-    n = x.shape[-1]
-    ph = np.exp(-1j * np.outer(np.asarray(grid), np.arange(n)))
+    ph = _phase_table(_grid_key(grid), x.shape[-1])
     return np.abs(x @ ph.T) ** 2
 
 
@@ -119,7 +135,7 @@ def _design(grid, n):
     Neither depends on the data, so both are built once per (grid, n)
     and shared read-only by every later call on that grid.
     """
-    return _design_table(np.ascontiguousarray(grid, dtype=float).tobytes(), n)
+    return _design_table(_grid_key(grid), n)
 
 
 def _rows(x):

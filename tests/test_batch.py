@@ -202,3 +202,18 @@ def test_batch_ivb_exact_threshold_parity(accelerated):
         res = ivb_run(model, init[b], cfg)
         assert np.array_equal(p[b], res.p)
         assert (nu_c[b], nu_e[b], converged[b]) == (res.nu_c, res.nu_e, res.converged)
+
+
+@pytest.mark.parametrize("M", [1, 4, 64])
+def test_row_extrema_by_index_equal_the_reductions(M):
+    a = np.random.default_rng(M).standard_normal((30, M)) * 1e3
+    a[3, -1] = np.nan
+    a[5] = np.nan
+    a[7] = -np.inf
+    a[9] = 2.5  # a row of ties
+    off = np.arange(0, 40 * M, M)[:, None]  # more rows than a, as a sweep's one-row step has
+    for rows in (a, a[9:10], a[5:6]):
+        top = batch._take_rows(rows, rows.argmax(axis=1, keepdims=True), off)
+        low = batch._take_rows(rows, rows.argmin(axis=1, keepdims=True), off)
+        assert top.tobytes() == np.maximum.reduce(rows, axis=1, keepdims=True).tobytes()
+        assert low.tobytes() == np.minimum.reduce(rows, axis=1, keepdims=True).tobytes()

@@ -4,7 +4,8 @@ perfbench/replay.py rebuilds each CLI workload from the parser and the
 library's public calls, exact_small.py runs the scalar chain API and
 the factor engine, and workloads.py makes each workload's set-up calls.
 A change to a call that one of them makes would otherwise only show in
-a benchmark run.
+a benchmark run. So would a change to the bits of a full-size CLI run,
+which golden.json records.
 """
 
 import json
@@ -42,6 +43,21 @@ def test_replay_reproduces_cli_csv(workload, tmp_path, monkeypatch):
     assert main(cli_argv(workload, 0, out, tiny=True)) == 0
     with open(out) as fh:
         assert csv_body(fh.read()) == csv_body(replayed)
+
+
+@pytest.mark.parametrize("workload, seed", [
+    ("freq-n64", 0), ("freq-n64", 3), ("awgn-4qam", 0), ("fading-16qam", 0)])
+def test_full_size_cli_run_matches_its_golden(workload, seed, tmp_path, monkeypatch):
+    # the recorded digests of golden.json, checked without a benchmark run:
+    # a kernel change that moves an output bit fails here
+    monkeypatch.syspath_prepend(PERFBENCH)
+    from checks import cli_problems, csv_body
+    from workloads import cli_argv
+
+    out = str(tmp_path / "cli.csv")
+    assert main(cli_argv(workload, seed, out)) == 0
+    with open(out) as fh:
+        assert cli_problems(workload, seed, csv_body(fh.read()), False) == []
 
 
 def test_exact_small_passes_its_oracle_checks(tmp_path, monkeypatch):

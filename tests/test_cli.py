@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -209,6 +213,9 @@ def test_unusable_noise_level_or_tone_is_config_error(argv, message, tmp_path, c
     (["hmc-awgn", "--ebn0", "6,4000"], "run_experiment"),
     (["freq", "--ebn0", "5,4000"], "run_freq_experiment"),
     (["freq", "--ebn0", "5,-4000"], "run_freq_experiment"),
+    (["hmc-fading", "--k", "2", "--rho", "0.5,1.5"], "run_experiment"),
+    (["hmc-fading", "--k", "2", "--fdts", "0.01,0.5"], "run_experiment"),  # J0(pi) < 0
+    (["hmc-fading", "--k", "2", "--rho", "0.5", "--sigma2", "0"], "run_experiment"),
 ])
 def test_bad_later_point_fails_before_any_point_runs(argv, runner, monkeypatch, tmp_path,
                                                       capsys):
@@ -274,11 +281,11 @@ def test_gdl_count_worked_example(tmp_path, capsys):
     assert lines[0] == "m=5 M=2 n=4"
     assert lines[1] == "NLN: [1]={} [2]={2} [3]={4} [4]={1,3,5}"
     assert lines[2] == "FA: (1)={1,2} (2)={3} (3)={4} (4)={5}"
-    assert lines[3] == "keep={1,2,3,4,5} split=2 semiring=sum-product"
+    assert lines[3] == "keep={1,2,3,4,5} split=2"
     fb = dict(kv.split("=") for kv in lines[4].removeprefix("fb: ").split())
     nv = dict(kv.split("=") for kv in lines[5].removeprefix("naive: ").split())
     assert int(fb["total"]) == int(fb["ring_sum"]) + int(fb["ring_product"])
-    assert int(fb["total"]) < int(nv["total"])
+    assert (int(fb["total"]), int(nv["total"])) == (56, 96)
     assert int(nv["lower"]) <= int(nv["total"]) <= int(nv["upper"])
 
 
@@ -287,7 +294,7 @@ def test_gdl_count_keeps_what_keep_names(tmp_path, capsys):
     save_model(_ex5_model(), path)
     assert main(["gdl-count", "--model", path, "--keep", "1"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    assert lines[3] == "keep={1} split=2 semiring=sum-product"
+    assert lines[3] == "keep={1} split=2"
     # summing out {2,3,4,5}; summing out {1} alone would be 72
     assert lines[4] == "fb: ring_sum=14 ring_product=20 total=34 phi=32"
 
@@ -321,14 +328,6 @@ def test_gdl_count_bad_model_file(tmp_path, capsys):
     rc = main(["gdl-count", "--model", path])
     assert rc == 1
     assert "bad model file" in capsys.readouterr().err
-
-
-def test_gdl_count_unknown_semiring(tmp_path, capsys):
-    path = str(tmp_path / "ex5.model")
-    save_model(_ex5_model(), path)
-    rc = main(["gdl-count", "--model", path, "--semiring", "tropical"])
-    assert rc == 1
-    assert "unknown semiring" in capsys.readouterr().err
 
 
 def test_freq_csv_replay_is_byte_identical(tmp_path):
@@ -452,3 +451,14 @@ def test_fading_fdts_smoke(tmp_path):
     assert row["scenario"] == "fading" and row["K"] == "2"
     # J0(2*pi*0.05) rounds to a rho just under one
     assert 0.9 < float(row["rho"]) < 1.0
+
+
+def test_cli_import_leaves_the_process_pool_unloaded():
+    # only --jobs > 1 uses the pool; every other process, the benchmark's
+    # set-up child included, should not pay for importing it
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = "import sys, trellis.cli; print('concurrent.futures' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"

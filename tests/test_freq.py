@@ -102,6 +102,24 @@ def test_periodogram_batched():
     assert np.array_equal(np.argmax(p, axis=1), [3, 7])
 
 
+@pytest.mark.parametrize("shape", [(64,), (5, 64)])
+def test_periodogram_bits_equal_the_direct_formula(shape):
+    from trellis.freq import _grid_key, _phase_table
+
+    n = shape[-1]
+    grid = dft_grid(n, pad=32)
+    x = np.random.default_rng(3).standard_normal(shape)
+    ph = np.exp(-1j * np.outer(grid, np.arange(n)))
+    want = np.abs(x @ ph.T) ** 2
+    for _ in range(2):  # the call that builds the table and one that reuses it
+        assert periodogram(x, grid).tobytes() == want.tobytes()
+    table = _phase_table(_grid_key(grid), n)
+    assert table is _phase_table(_grid_key(list(grid)), n)
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0] = 0.0
+
+
 def test_posterior_matches_quadrature():
     n, r_e = 24, 0.2
     rng = np.random.default_rng(82)

@@ -13,6 +13,7 @@ from trellis.numerics import (
     adaptive_simpson_2d,
     bessel_i0_log,
     bessel_j0,
+    exp_inplace,
     log_normalize,
     safe_log,
     simpson_1d,
@@ -127,6 +128,65 @@ def test_log_normalize_rows_equal_single_calls():
 def test_log_normalize_extreme_range():
     out = log_normalize(np.array([0.0, -1e9, -2e9]))
     assert_allclose(out, [1.0, 0.0, 0.0], atol=1e-300)
+
+
+# exp rounds to +0.0 at and below log(2**-1075); the float64 just above
+# this rounds up to the smallest subnormal
+_HALF_SUBNORMAL_LOG = -745.1332191019412
+
+
+def _exp_mixture(rng, shape):
+    """Shifted-log-like entries drawn from every band np.exp treats apart."""
+    bands = [
+        rng.uniform(-50.0, 0.0, shape),
+        rng.uniform(-745.1, -708.4, shape),  # subnormal and near-underflow results
+        rng.uniform(-1e5, -745.2, shape),
+        np.full(shape, LOG0),
+        np.full(shape, -np.inf),
+        np.full(shape, np.nan),
+        np.full(shape, -0.0),
+        np.full(shape, np.nextafter(_HALF_SUBNORMAL_LOG, 0.0)),
+        np.full(shape, _HALF_SUBNORMAL_LOG),
+        np.full(shape, np.nextafter(_HALF_SUBNORMAL_LOG, -np.inf)),
+    ]
+    pick = rng.integers(0, len(bands), shape)
+    return np.choose(pick, bands)
+
+
+@pytest.mark.parametrize("shape", [(257,), (9, 33), (4, 7, 5)])
+def test_exp_inplace_bits_equal_np_exp(shape):
+    x = _exp_mixture(np.random.default_rng(sum(shape)), shape)
+    want = np.exp(x)
+    got = x.copy()
+    assert exp_inplace(got) is got
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the bands the mixture must reach, subnormal results among them
+    assert np.isnan(want).any() and (want == 0).any() and (got == 1.0).any()
+    assert ((want > 0) & (want < np.finfo(float).tiny)).any()
+
+
+def test_exp_inplace_at_the_rounding_edge():
+    x = np.array([np.nextafter(_HALF_SUBNORMAL_LOG, 0.0), _HALF_SUBNORMAL_LOG,
+                  np.nextafter(_HALF_SUBNORMAL_LOG, -np.inf), -745.2, -745.3])
+    want = np.exp(x)
+    assert want[0] == 5e-324 and not want[1:].any()
+    assert np.array_equal(exp_inplace(x.copy()).view(np.int64), want.view(np.int64))
+    # a strided view, as gaussian_psi passes a block of its output
+    block = np.tile(x, (3, 2))[:, ::2]
+    want = np.exp(block)
+    assert np.array_equal(exp_inplace(block).view(np.int64), want.view(np.int64))
+
+
+def test_log_normalize_bits_equal_the_plain_exp_formula():
+    logw = _exp_mixture(np.random.default_rng(8), (40, 64))
+    # most rows get a finite maximum; the last rows keep their NaNs
+    logw[:30][np.isnan(logw[:30])] = LOG0
+    logw[:30, 0] = 0.0
+    want = logw - np.maximum.reduce(logw, axis=-1, keepdims=True)
+    np.exp(want, out=want)
+    want /= np.add.reduce(want, axis=-1, keepdims=True)
+    assert (want[:30] == 0).any() and np.isnan(want[30:]).all()
+    assert np.array_equal(log_normalize(logw).view(np.int64), want.view(np.int64))
 
 
 def test_bessel_i0_log_bands_equal_whole_array_series():
