@@ -1,12 +1,16 @@
 """The chain recursions, each written once for a block of trials.
 
-Every function takes a (B, n, M) likelihood block whose trials share
-one transition matrix: forward_backward over a trellis.semiring
-instance and its forward half batch_forward, the min-sum
-viterbi_trace, the mean-field marginal_sweep and point_mass_sweep, and
-the divergences batch_kld and batch_kld_labels. The two mean-field
-sweeps are site updates, one step of one block of trials each, that a
-single schedule loop, _sweep, runs and counts.
+Every function takes a block of B trials of n steps over M states that
+share one transition matrix. forward_backward over a trellis.semiring
+instance, its forward half batch_forward and the point-mass divergence
+batch_kld_labels, which runs that forward pass itself, take the
+likelihoods Psi (B, n, M). The min-sum viterbi_trace and the mean-field
+marginal_sweep and point_mass_sweep take their safe_log (logT, logp0,
+logPsi), so a caller that runs several of them forms the logs once;
+batch_ivb and batch_fcvb run the sweeps from Psi. batch_kld takes
+filtering rows and pmfs. The two mean-field sweeps are site updates,
+one step of one block of trials each, that a single schedule loop,
+_sweep, runs and counts.
 The scalar API in hmc and vb runs them with B=1. Labels are 0-based
 and ties resolve to the smallest index. A trial gets the same bits
 alone or in a block, except from a BLAS matrix product, which may
@@ -267,6 +271,11 @@ def batch_ml(Psi):
     return np.argmax(Psi, axis=2)
 
 
+# Steps per block of the divergences' per-step terms: their temporaries
+# are (B, _KLD_STEPS, M) at most, never (B, n, M).
+_KLD_STEPS = 64
+
+
 def batch_kld(T, alpha, p):
     """Divergence of factored marginals p from each trial's posterior.
 
@@ -274,37 +283,86 @@ def batch_kld(T, alpha, p):
     off the chain decomposition, so nothing of size (B, M, M) per step
     is stored. For point masses use batch_kld_labels, which gives the
     one-hot result from the labels alone.
+
+    Per step i it subtracts p[i+1]' logT p[i] and p[i]' log alpha[i] and
+    adds p[i+1]' log(T alpha[i]), in that order. The second and third
+    are einsums over blocks of _KLD_STEPS steps, the first one einsum
+    per step (a block of three-operand einsums may sum in another order
+    on two states), and each predictive product T alpha[i] is its own
+    per-step matrix product; one np.add.accumulate per block then adds
+    the terms in step order, so every bit is that of adding them one
+    step at a time.
     """
     B, n, M = p.shape
     logT = safe_log(T)
+    Tt = T.T
     out = np.einsum("bik,bik->b", p, safe_log(p))
     out -= np.einsum("bk,bk->b", p[:, n - 1], safe_log(alpha[:, n - 1]))
-    for i in range(n - 1):
-        out -= np.einsum("bk,kl,bl->b", p[:, i + 1], logT, p[:, i])
-        out -= np.einsum("bl,bl->b", p[:, i], safe_log(alpha[:, i]))
-        out += np.einsum("bk,bk->b", p[:, i + 1], safe_log(alpha[:, i] @ T.T))
+    pred = np.empty((B, min(_KLD_STEPS, n), M))
+    for i0 in range(0, n - 1, _KLD_STEPS):
+        i1 = min(i0 + _KLD_STEPS, n - 1)
+        m = i1 - i0
+        cross = []
+        for i in range(i0, i1):
+            cross.append(np.einsum("bk,kl,bl->b", p[:, i + 1], logT, p[:, i]))
+            np.matmul(alpha[:, i], Tt, out=pred[:, i - i0])
+        terms = np.empty((3 * m + 1, B))  # step-major, with the running sum first
+        terms[0] = out
+        np.negative(cross, out=terms[1::3])
+        np.negative(np.einsum("bil,bil->bi", p[:, i0:i1], safe_log(alpha[:, i0:i1])).T,
+                    out=terms[2::3])
+        terms[3::3] = np.einsum("bik,bik->bi", p[:, i0 + 1:i1 + 1], safe_log(pred[:, :m])).T
+        out = np.add.accumulate(terms, axis=0)[-1]
     return out
 
 
-def batch_kld_labels(T, alpha, labels):
-    """Minus the log posterior of each trial's label path.
+def batch_kld_labels(T, p0, Psi, labels):
+    """Minus the log posterior of each trial's label path, from its own forward pass.
 
-    Equals batch_kld with one-hot rows at the labels bit for bit: each
-    einsum term there is the one entry its one-hot rows select, because
-    safe_log is finite, and the entries are read here by label and
-    added in the same order.
+    Equals batch_kld of batch_forward's rows and one-hot rows at the
+    labels bit for bit: each einsum term there is the one entry its
+    one-hot rows select, because safe_log is finite. The sum-product
+    forward recursion runs here, as batch_forward's steps, and reads two
+    entries per step: the predictive entry (T alpha[i-1])[l_i] from the
+    product the step forms anyway, and the filtered entry alpha[i][l_i].
+    No (B, n, M) array is formed. The entries' logs are added in
+    batch_kld's order, one np.add.accumulate per block of _KLD_STEPS
+    steps. A degenerate trial raises DegenerateObservation, as
+    batch_forward does.
     """
-    B, n, M = alpha.shape
+    B, n, M = Psi.shape
     labels = np.asarray(labels, dtype=np.int64)
-    rows = np.arange(B)
-    lt = safe_log(T)[labels[:, 1:], labels[:, :-1]]
-    la = safe_log(np.take_along_axis(alpha, labels[:, :, None], axis=2)[:, :, 0])
-    out = np.zeros(B)  # a point mass has no entropy
-    out -= la[:, n - 1]
-    for i in range(n - 1):
-        out -= lt[:, i]
-        out -= la[:, i]
-        out += safe_log((alpha[:, i] @ T.T)[rows, labels[:, i + 1]])
+    if labels.shape != (B, n) or labels.min() < 0 or labels.max() >= M:
+        raise ValueError("labels must be B x n states in [0, M)")
+    # flat offsets of the labels' entries in a (B, M) row block, time-major
+    at = (labels + np.arange(0, B * M, M)[:, None]).T.copy()
+    filt = np.empty((n, B))
+    pred = np.empty((n, B))  # pred[0] is not used
+    Tt = T.T
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = Psi[:, 0] * p0
+        a /= np.add.reduce(a, axis=1, keepdims=True)
+        a.take(at[0], out=filt[0], mode="clip")
+        for i in range(1, n):
+            a = np.matmul(a, Tt)
+            a.take(at[i], out=pred[i], mode="clip")
+            a *= Psi[:, i]
+            a /= np.add.reduce(a, axis=1, keepdims=True)
+            a.take(at[i], out=filt[i], mode="clip")
+    # a NaN row makes every later row NaN, so the last row shows the
+    # trials whose rows batch_forward finds NaN
+    _check_trials(a[:, None])
+    logT = safe_log(T)
+    lab = labels.T
+    out = np.subtract(0.0, safe_log(filt[n - 1]))  # a point mass has no entropy
+    for i0 in range(0, n - 1, _KLD_STEPS):
+        i1 = min(i0 + _KLD_STEPS, n - 1)
+        terms = np.empty((3 * (i1 - i0) + 1, B))  # as in batch_kld
+        terms[0] = out
+        np.negative(logT[lab[i0 + 1:i1 + 1], lab[i0:i1]], out=terms[1::3])
+        np.negative(safe_log(filt[i0:i1]), out=terms[2::3])
+        terms[3::3] = safe_log(pred[i0 + 1:i1 + 1])
+        out = np.add.accumulate(terms, axis=0)[-1]
     return out
 
 
@@ -364,21 +422,23 @@ def _sweep(update, B, n, max_cycles, accelerated, after_cycle=None):
     return nu_c, (updates + full) / n, converged, tau[1:-1].T
 
 
-def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
-                   track_kld=False):
-    """Mean-field marginal updates, plain or accelerated.
+def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerated=False,
+                   kld_rows=None):
+    """Mean-field marginal updates, plain or accelerated, on safe_log'd inputs.
 
     A step moves when its pmf moves more than xi in KS distance; a
     trial stops after the first cycle with no step moved (see _sweep).
-    Returns (p, nu_c, nu_e, converged, tau, kld): tau flags the steps
-    still due, all False for a converged trial; with track_kld, kld[b]
-    lists trial b's divergence after each of its nu_c[b] cycles.
+    logPsi is read, never written: the start prior enters step 0's
+    update, not the array. Returns (p, nu_c, nu_e, converged, tau,
+    kld): tau flags the steps still due, all False for a converged
+    trial. kld_rows, if given, is (T, alpha), the transition matrix and
+    the trials' filtering rows from batch_forward; kld[b] then lists
+    trial b's divergence after each of its nu_c[b] cycles.
     """
-    B, n, M = Psi.shape
+    B, n, M = logPsi.shape
     init = np.asarray(init, dtype=float)
     if init.shape != (B, n, M):
         raise ValueError("init must be B x n x M")
-    logT = safe_log(T)
     # xi below the resolution asks for an exact fixed point, with the
     # same bits alone or in a block: moves within the resolution are not
     # stored, and products are per-row dots. Coarser thresholds store
@@ -390,14 +450,12 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
             return np.einsum("bk,kj->bj", v, A)
     else:
         contract = np.matmul
-    lp = safe_log(Psi)
-    lp[:, 0] += safe_log(p0)
     p = np.array(init)
     thr = max(xi, KS_RESOLUTION)
     flat = np.arange(0, B * M, M)[:, None]
 
     def update(i, r, t):
-        s = lp[r, i] + contract(p[r, i - 1], logT.T) if i else lp[r, 0].copy()
+        s = logPsi[r, i] + contract(p[r, i - 1], logT.T) if i else logPsi[r, 0] + logp0
         if i + 1 < n:
             s += contract(p[r, i + 1], logT)
         # numerics.log_normalize's bits, with a plain np.exp: on a few
@@ -417,8 +475,8 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
         return ks > thr if t is None else t & (ks > thr)
 
     after_cycle = None
-    if track_kld:
-        alpha = batch_forward(T, p0, Psi)
+    if kld_rows is not None:
+        T, alpha = kld_rows
         kld = [[] for _ in range(B)]
 
         def after_cycle(ran):
@@ -426,35 +484,33 @@ def marginal_sweep(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False,
                 kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
 
     counts = _sweep(update, B, n, max_cycles, accelerated, after_cycle)
-    return (p,) + counts + (kld if track_kld else None,)
+    return (p,) + counts + (None if kld_rows is None else kld,)
 
 
-def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False):
-    """Point-mass mean-field updates, plain or accelerated.
+def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerated=False):
+    """Point-mass mean-field updates, plain or accelerated, on safe_log'd inputs.
 
     A step moves when its label changes; a trial stops after the first
     change-free cycle, which nu_c counts (see _sweep). Returns (labels,
     nu_c, nu_e, converged, tau), tau as marginal_sweep's.
     """
-    B, n, M = Psi.shape
+    B, n, M = logPsi.shape
     k = np.asarray(init_labels, dtype=np.int64)
     if k.shape != (B, n):
         raise ValueError("init_labels must be B x n")
-    lp = safe_log(Psi)  # first, to reuse a block of its size just freed
-    logT = safe_log(T)
     # Label M stands for the chain's ends: as the previous label it
     # selects the start prior, as the next label a zero row.
     nxt = np.zeros((M + 1, M))
     nxt[:M] = logT
     prv = np.empty((M + 1, M))
     prv[:M] = logT.T
-    prv[M] = safe_log(p0)
+    prv[M] = logp0
     K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
     K[1:-1] = k.T
 
     def update(i, r, t):
         s = nxt[K[i + 2, r]] + prv[K[i, r]]
-        s += lp[r, i]
+        s += logPsi[r, i]
         new = s.argmax(axis=1)
         moved = new != K[i + 1, r]
         if t is not None:
@@ -467,10 +523,12 @@ def point_mass_sweep(T, p0, Psi, init_labels, max_cycles=100, accelerated=False)
 
 
 def batch_ivb(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False):
-    """Mean-field marginal sweeps: (p, nu_c, nu_e, converged)."""
-    return marginal_sweep(T, p0, Psi, init, xi, max_cycles, accelerated)[:4]
+    """Mean-field marginal sweeps from likelihoods Psi: (p, nu_c, nu_e, converged)."""
+    return marginal_sweep(safe_log(T), safe_log(p0), safe_log(Psi), init, xi, max_cycles,
+                          accelerated)[:4]
 
 
 def batch_fcvb(T, p0, Psi, init_labels, max_cycles=100, accelerated=False):
-    """Point-mass mean-field sweeps: (labels, nu_c, nu_e, converged)."""
-    return point_mass_sweep(T, p0, Psi, init_labels, max_cycles, accelerated)[:4]
+    """Point-mass mean-field sweeps from likelihoods Psi: (labels, nu_c, nu_e, converged)."""
+    return point_mass_sweep(safe_log(T), safe_log(p0), safe_log(Psi), init_labels,
+                            max_cycles, accelerated)[:4]

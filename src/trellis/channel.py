@@ -9,7 +9,7 @@ chain; the product chain is one bigger label chain with MK states
 """
 
 from collections import namedtuple
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
@@ -25,15 +25,13 @@ class QamConstellation:
     """
 
     def __init__(self, M):
-        M = int(M)
+        M = check_qam_order(M)
         if M == 2:
             levels = np.array([-1.0, 1.0])
             self.points = levels.astype(complex)
             self.bits = np.array([[0], [1]], dtype=np.uint8)
         else:
             L = isqrt(M)
-            if L * L != M or L < 2 or (L & (L - 1)) != 0:
-                raise ValueError("M must be 2 or an even power of two")
             b_axis = L.bit_length() - 1
             d = np.sqrt(3.0 * np.log2(M) / (2.0 * (M - 1)))
             amp = d * (2 * np.arange(L) - (L - 1))
@@ -71,18 +69,27 @@ def gaussian_psi(x, means, n0):
     method is unaffected), keeping exponentials in range at high SNR.
     Each block of steps is built in place in the one output array: the
     bits of exp(-|x - m|**2 / n0 - max) without a complex (..., n, M)
-    temporary, and with exp_inplace's mask no larger than a block.
+    temporary, and with exp_inplace's mask no larger than a block. A
+    row's maximum is read at its argmax, by one flat take from the
+    output: the value the short-axis max reduction gives (NaN for a row
+    with a NaN), at less cost. The exponents are -(...) / n0, so every
+    zero among them is -0.0 and no +0.0/-0.0 tie can pick another zero.
     """
     x, means = np.asarray(x), np.asarray(means)
     n0 = float(n0)
     e = np.empty(x.shape + means.shape)
-    for i in range(0, x.shape[-1], _PSI_STEPS):
+    n, M = e.shape[-2:]
+    # flat start of each row of steps, as (..., 1) against a block's steps
+    starts = (n * M * np.arange(prod(x.shape[:-1]))).reshape(x.shape[:-1] + (1,))
+    for i in range(0, n, _PSI_STEPS):
         b = e[..., i:i + _PSI_STEPS, :]
         np.abs(x[..., i:i + _PSI_STEPS, None] - means, out=b)
         np.square(b, out=b)
         np.negative(b, out=b)
         b /= n0
-        b -= b.max(axis=-1, keepdims=True)
+        k = b.argmax(axis=-1)
+        k += starts + np.arange(i * M, (i + b.shape[-2]) * M, M)
+        b -= e.take(k)[..., None]
         exp_inplace(b)
     return e
 
@@ -120,6 +127,15 @@ def rho_from_doppler(fd_ts):
 QuantizerSpec = namedtuple("QuantizerSpec", ["thresholds", "levels", "sigma2"])
 
 
+def check_qam_order(M):
+    """M as an int: a constellation size must be 2 or an even power of two."""
+    M = int(M)
+    L = isqrt(max(M, 0))
+    if M != 2 and (L * L != M or L < 2 or (L & (L - 1)) != 0):
+        raise ValueError("M must be 2 or an even power of two, got %r" % (M,))
+    return M
+
+
 def check_rho(rho):
     """rho as a float: a gain correlation must lie in [0, 1)."""
     r = float(rho)
@@ -128,11 +144,19 @@ def check_rho(rho):
     return r
 
 
+# The bivariate Rayleigh density divides by sigma2**2, which must stay a
+# normal float: beyond about 1e-154 or 1e154 it underflows to 0 or
+# overflows to inf, and the channel quadrature fails or gives NaN. The
+# bounds keep a margin.
+_SIGMA2_RANGE = (1e-150, 1e150)
+
+
 def check_sigma2(sigma2):
-    """sigma2 as a float: a Gaussian component variance must be positive and finite."""
+    """sigma2 as a float: a Gaussian component variance in _SIGMA2_RANGE."""
     s2 = float(sigma2)
-    if not 0.0 < s2 < np.inf:
-        raise ValueError("sigma2 must be positive and finite, got %r" % (sigma2,))
+    lo, hi = _SIGMA2_RANGE
+    if not lo <= s2 <= hi:
+        raise ValueError("sigma2 must be in [%r, %r], got %r" % (lo, hi, sigma2))
     return s2
 
 

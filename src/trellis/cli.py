@@ -274,7 +274,7 @@ def _selftest_checks():
     from .gdl import dual_entropy, fb_reduce_sequential, fb_reduce_single, naive_reduce
     from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
                       fb_algorithm, viterbi)
-    from .numerics import adaptive_simpson_2d, simpson_2d
+    from .numerics import adaptive_simpson_2d, safe_log, simpson_2d
     from .pe import pe_logpdf, pe_model
     from .semiring import ALL_SEMIRINGS, check_laws, semiring
 
@@ -339,12 +339,13 @@ def _selftest_checks():
         T = g.random((M, M))
         T[0, 1] = 0.0
         T /= T.sum(axis=0)
-        alpha = batch_forward(T, np.full(M, 1.0 / M), g.random((B, n, M)) + 0.05)
+        p0 = np.full(M, 1.0 / M)
+        Psi = g.random((B, n, M)) + 0.05
         labels = g.integers(0, M, size=(B, n))
         one_hot = np.zeros((B, n, M))
         np.put_along_axis(one_hot, labels[:, :, None], 1.0, axis=2)
-        got = batch_kld_labels(T, alpha, labels)
-        assert got.tobytes() == batch_kld(T, alpha, one_hot).tobytes()
+        got = batch_kld_labels(T, p0, Psi, labels)
+        assert got.tobytes() == batch_kld(T, batch_forward(T, p0, Psi), one_hot).tobytes()
 
     def check_lemma_equivalence():
         # own generator, as the divergence check above
@@ -356,10 +357,11 @@ def _selftest_checks():
         Psi = g.random((B, n, M)) + 0.05
         init = np.full((B, n, M), 1.0 / M)
         start = np.argmax(Psi, axis=2)
-        runs = [(marginal_sweep(T, p0, Psi, init, xi=0.0),
-                 marginal_sweep(T, p0, Psi, init, xi=0.0, accelerated=True)),
-                (point_mass_sweep(T, p0, Psi, start),
-                 point_mass_sweep(T, p0, Psi, start, accelerated=True))]
+        logs = safe_log(T), safe_log(p0), safe_log(Psi)
+        runs = [(marginal_sweep(*logs, init, xi=0.0),
+                 marginal_sweep(*logs, init, xi=0.0, accelerated=True)),
+                (point_mass_sweep(*logs, start),
+                 point_mass_sweep(*logs, start, accelerated=True))]
         for plain, accel in runs:
             # the same fixed point (pmfs or labels) after as many cycles
             assert plain[3].all() and accel[3].all()

@@ -6,8 +6,12 @@ counts, the Eb/N0 and the methods, `_noise_level` the noise level
 the Eb/N0 gives, and the channel's own rules a fading point's rho and
 sigma2; the point's model goes into one record, built once;
 `_map_chunks` calls the chunk worker on that record and each chunk's
-trial range [t0, t1), serially or on a process pool, and returns the
-partial results in trial order.
+trial range [t0, t1), serially or on a pool of at most as many workers
+as there are chunks and CPUs, and returns the partial results in trial
+order. A symbol-detection chunk forms what its methods share once: the
+likelihoods, their logs (va and both sweeps), the ML labels (ml and the
+point-mass sweeps' start) and, for the marginal divergence only, the
+filtering rows; the point-mass divergence runs its own forward pass.
 
 Determinism contract: every trial owns a counter-based generator keyed
 by master_seed XOR trial_index, with a fixed draw order per scenario
@@ -21,19 +25,21 @@ bits of kld_mean can move with the chunk size; its other columns, bar
 wall_ms, come from integer counts and do not.
 """
 
+import os
 import sys
 import time
 from collections import namedtuple
 
 import numpy as np
 
-from .batch import (batch_fb, batch_fcvb, batch_forward, batch_ivb, batch_kld, batch_kld_labels,
-                    batch_ml, batch_viterbi)
+from .batch import (batch_fb, batch_forward, batch_kld, batch_kld_labels, batch_ml,
+                    batch_viterbi, marginal_sweep, point_mass_sweep)
 from .channel import (
     QamConstellation,
     augmented_model,
     awgn_observe,
     channel_transition_matrix,
+    check_qam_order,
     check_rho,
     check_sigma2,
     gaussian_psi,
@@ -104,52 +110,59 @@ def _run_hmc_chunk(spec, t0, t1):
     src = sample_chain(spec.src_T, spec.src_p, su)
     if spec.fading:
         K = spec.ch_T.shape[0]
-        ch = sample_chain(spec.ch_T, np.full(K, 1.0 / K), cu)
-        state = ch * spec.M_src + src
+        state = sample_chain(spec.ch_T, np.full(K, 1.0 / K), cu) * spec.M_src + src
     else:
         state = src
-    x = awgn_observe(spec.means[state], spec.n0, nz)
-    Psi = gaussian_psi(x, spec.means, spec.n0)
+    Psi = gaussian_psi(awgn_observe(spec.means[state], spec.n0, nz), spec.means, spec.n0)
+    # of the draws only src, for the bit errors, outlives the likelihood
+    del su, cu, nz, state
 
     Mt = spec.means.shape[0]
     T, p = spec.T, spec.p
-    alpha = None
+    # Formed at most once per chunk, the first time a method needs them:
+    # the ML labels (ml and the point-mass sweeps' start), the safe_log
+    # of the model and the likelihood (va and both sweeps) and the
+    # filtering rows (fb and the marginal divergence). The logs are
+    # formed outside every method's timer.
+    ml = logs = alpha = None
     out = {}
     for method in spec.methods:
-        # the next method's turn frees va's logs before it runs
-        logs = (safe_log(T), safe_log(p), safe_log(Psi)) if method == "va" else None
+        if logs is None and method not in ("ml", "fb"):
+            logs = (safe_log(T), safe_log(p), safe_log(Psi))
         acc = {"bit_err": 0, "nu_c": 0.0, "nu_e": 0.0, "kld": 0.0, "wall": 0.0}
         tic = time.perf_counter()
+        if ml is None and (method == "ml" or method.startswith("fcvb")):
+            ml = batch_ml(Psi)
         if method == "ml":
-            est = batch_ml(Psi)
+            est = ml
         elif method == "fb":
             alpha, _, est = batch_fb(T, p, Psi)
         elif method == "va":
             est = batch_viterbi(*logs)
         elif method in ("vb", "vb-acc"):
-            init = np.full((B, n, Mt), 1.0 / Mt)
-            phat, nu_c, nu_e, _ = batch_ivb(
-                T, p, Psi, init, xi=spec.xi, max_cycles=spec.max_cycles,
-                accelerated=method.endswith("acc"))
+            # the start pmfs live only as long as the sweep, which copies them
+            phat, nu_c, nu_e, _, _, _ = marginal_sweep(
+                *logs, np.full((B, n, Mt), 1.0 / Mt), xi=spec.xi,
+                max_cycles=spec.max_cycles, accelerated=method.endswith("acc"))
             est = np.argmax(phat, axis=2)
         else:
-            est, nu_c, nu_e, _ = batch_fcvb(
-                T, p, Psi, batch_ml(Psi), max_cycles=spec.max_cycles,
-                accelerated=method.endswith("acc"))
+            est, nu_c, nu_e, _, _ = point_mass_sweep(
+                *logs, ml, max_cycles=spec.max_cycles, accelerated=method.endswith("acc"))
         acc["wall"] = time.perf_counter() - tic
         if method in MEAN_FIELD_METHODS:
             acc["nu_c"] = float(nu_c.sum())
             acc["nu_e"] = float(nu_e.sum())
-            if alpha is None:
-                alpha = batch_forward(T, p, Psi)
             if method.startswith("vb"):
+                if alpha is None:
+                    alpha = batch_forward(T, p, Psi)
                 kld = batch_kld(T, alpha, phat)
             else:
-                kld = batch_kld_labels(T, alpha, est)
+                kld = batch_kld_labels(T, p, Psi, est)
             acc["kld"] = float(kld.sum())
         est_src = est % spec.M_src if spec.fading else est
         acc["bit_err"] = int(spec.bit_distance[src, est_src].sum())
         out[method] = acc
+        est = est_src = phat = None  # freed before the next method runs
     return out
 
 
@@ -196,11 +209,14 @@ def _map_chunks(worker, point, trials, chunk, jobs):
     """worker(point, t0, t1) over the chunks of trials, results in trial order."""
     t0s = range(0, trials, chunk)
     t1s = [min(t0 + chunk, trials) for t0 in t0s]
-    if jobs > 1:
+    # the pool starts all its workers at once, so no more than there are
+    # chunks to run and CPUs to run them; no output depends on the count
+    workers = min(jobs, len(t0s), os.cpu_count() or 1)
+    if workers > 1:
         # imported here: a serial run, the default, never loads the pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
+        with ProcessPoolExecutor(max_workers=workers) as ex:
             return list(ex.map(worker, [point] * len(t0s), t0s, t1s))
     return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
 
@@ -217,12 +233,21 @@ def check_experiment(cfg):
     StoppingConfig(cfg.xi, cfg.max_cycles)
     if cfg.scenario not in ("awgn", "fading"):
         raise ValueError("scenario must be 'awgn' or 'fading'")
+    _named("--m", check_qam_order, cfg.M)
     if cfg.scenario == "fading":
         if cfg.rho is None:
             raise ValueError("fading needs rho")
         check_rho(cfg.rho)
-        check_sigma2(cfg.sigma2)
+        _named("--sigma2", check_sigma2, cfg.sigma2)
     return seed, n0
+
+
+def _named(flag, check, value):
+    """check(value), its error prefixed with the CLI flag that sets the value."""
+    try:
+        return check(value)
+    except ValueError as e:
+        raise ValueError("%s: %s" % (flag, e)) from None
 
 
 def run_experiment(cfg):

@@ -18,7 +18,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .batch import marginal_sweep, point_mass_sweep
+from .batch import batch_forward, marginal_sweep, point_mass_sweep
 from .numerics import safe_log
 
 
@@ -97,9 +97,11 @@ def ivb_run(model, init, cfg=None, track_kld=False):
         raise ValueError("init must be n x M")
     if np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("init rows must be simplex vectors")
+    T, Psi = model.T, model.Psi[None]
+    kld_rows = (T, batch_forward(T, model.p, Psi)) if track_kld else None
     p, nu_c, nu_e, converged, tau, kld = marginal_sweep(
-        model.T, model.p, model.Psi[None], p[None], cfg.xi, cfg.max_cycles,
-        cfg.accelerated, track_kld)
+        safe_log(T), safe_log(model.p), safe_log(Psi), p[None], cfg.xi, cfg.max_cycles,
+        cfg.accelerated, kld_rows)
     return VbResult(p[0], np.argmax(p[0], axis=1) + 1, int(nu_c[0]), float(nu_e[0]),
                     bool(converged[0]), tau[0], kld[0] if track_kld else None)
 
@@ -120,5 +122,6 @@ def fcvb_run(model, init_labels, cfg=None):
     if np.any(k < 0) or np.any(k >= M):
         raise ValueError("init labels out of range")
     labels, nu_c, nu_e, converged, tau = point_mass_sweep(
-        model.T, model.p, model.Psi[None], k[None], cfg.max_cycles, cfg.accelerated)
+        safe_log(model.T), safe_log(model.p), safe_log(model.Psi)[None], k[None],
+        cfg.max_cycles, cfg.accelerated)
     return FcvbResult(labels[0] + 1, int(nu_c[0]), float(nu_e[0]), bool(converged[0]), tau[0])

@@ -2,7 +2,7 @@ import numpy as np
 
 from trellis.factors import Factor, FactorModel, VariableSpace
 from trellis.hmc import HmcModel
-from trellis.numerics import simpson_2d
+from trellis.numerics import safe_log, simpson_2d
 
 # acceptance tests append their "[criterion k] PASS/FAIL ..." lines here;
 # echoed as one block after the run so capture mode cannot hide them
@@ -120,6 +120,38 @@ def dense_viterbi_trace(logT, logp0, logPsi):
     for i in range(n - 1, 0, -1):
         labels[:, i - 1] = kappa[rows, i, labels[:, i]]
     return labels, lam, kappa
+
+
+def stepwise_kld(T, alpha, p):
+    """batch_kld with every per-step term its own einsum, added as it is
+    formed: the reference the blocked kernel must equal bit for bit."""
+    B, n, M = p.shape
+    logT = safe_log(T)
+    out = np.einsum("bik,bik->b", p, safe_log(p))
+    out -= np.einsum("bk,bk->b", p[:, n - 1], safe_log(alpha[:, n - 1]))
+    for i in range(n - 1):
+        out -= np.einsum("bk,kl,bl->b", p[:, i + 1], logT, p[:, i])
+        out -= np.einsum("bl,bl->b", p[:, i], safe_log(alpha[:, i]))
+        out += np.einsum("bk,bk->b", p[:, i + 1], safe_log(alpha[:, i] @ T.T))
+    return out
+
+
+def stepwise_kld_labels(T, alpha, labels):
+    """Minus the log posterior of each label path from stored filtering
+    rows, one predictive product per step: the reference the fused
+    forward-pass kernel must equal bit for bit."""
+    B, n, M = alpha.shape
+    labels = np.asarray(labels, dtype=np.int64)
+    rows = np.arange(B)
+    lt = safe_log(T)[labels[:, 1:], labels[:, :-1]]
+    la = safe_log(np.take_along_axis(alpha, labels[:, :, None], axis=2)[:, :, 0])
+    out = np.zeros(B)  # a point mass has no entropy
+    out -= la[:, n - 1]
+    for i in range(n - 1):
+        out -= lt[:, i]
+        out -= la[:, i]
+        out += safe_log((alpha[:, i] @ T.T)[rows, labels[:, i + 1]])
+    return out
 
 
 def assert_same_arrays(got, want):

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import assert_same_arrays, dense_viterbi_trace
+from conftest import assert_same_arrays, dense_viterbi_trace, stepwise_kld, stepwise_kld_labels
 from trellis import batch
 from trellis.batch import (
+    DegenerateObservation,
     batch_fb,
     batch_fcvb,
+    batch_forward,
     batch_ivb,
     batch_kld,
+    batch_kld_labels,
     batch_ml,
     batch_viterbi,
 )
@@ -126,6 +129,79 @@ def test_batch_kld_one_hot():
         sm = fb_algorithm(model)
         chain = posterior_chain_factors(model, sm)
         assert_allclose(got[b], kld_vb(model, sm, chain, p[b]), atol=1e-9)
+
+
+def _block_with_zeros(rng, B, S, n):
+    """T, p0 and Psi with exact zeros in about a quarter of T and a third
+    of Psi. Row 0 of T, p0[0] and Psi[..., 0] stay positive, so state 0
+    keeps every trial's normalizers away from zero."""
+    T = rng.random((S, S)) * (rng.random((S, S)) > 0.25)
+    T[0] += 0.05
+    T /= T.sum(axis=0)
+    p0 = rng.random(S) * (rng.random(S) > 0.25)
+    p0[0] += 0.05
+    p0 /= p0.sum()
+    Psi = rng.random((B, n, S)) * (rng.random((B, n, S)) > 0.3)
+    Psi[..., 0] += 1e-3
+    return T, p0, Psi
+
+
+def _pmfs(rng, B, n, S, zeros):
+    p = rng.random((B, n, S))
+    if zeros:
+        p *= rng.random((B, n, S)) > 0.3
+        p[..., -1] += 1e-3
+    return p / p.sum(axis=2, keepdims=True)
+
+
+@pytest.mark.parametrize("S", [2, 3, 4, 16, 64])
+@pytest.mark.parametrize("n", [1, 2, 64, 65, 130])
+def test_divergences_equal_their_stepwise_oracles(S, n):
+    # block edges at 64 steps: n = 64 and 65 end a block with one step
+    # to spare and one step over, n = 130 spans three blocks
+    rng = np.random.default_rng(1000 * S + n)
+    for B in (1, 2, 3, 7, 40):
+        T, p0, Psi = _block_with_zeros(rng, B, S, n)
+        alpha = batch_forward(T, p0, Psi)
+        # several draws: summing a block's three-operand terms in one
+        # einsum moves bits on a few percent of two-state blocks only
+        for zeros in (False, True, False, True):
+            p = _pmfs(rng, B, n, S, zeros)
+            assert batch_kld(T, alpha, p).tobytes() == stepwise_kld(T, alpha, p).tobytes()
+        # free labels take impossible transitions (LOG0 terms); ML labels
+        # are the ones the experiments use
+        for labels in (rng.integers(0, S, (B, n)), batch_ml(Psi)):
+            got = batch_kld_labels(T, p0, Psi, labels)
+            assert got.tobytes() == stepwise_kld_labels(T, alpha, labels).tobytes()
+
+
+@pytest.mark.parametrize("B, n, S, zeroed", [
+    (1, 1, 2, [(0, 0)]),
+    (3, 5, 3, [(1, 4)]),  # the last step, which only the last row shows
+    (7, 64, 4, [(5, 0), (2, 63)]),
+    (40, 65, 16, [(39, 64), (17, 10), (30, 3)]),
+    (2, 130, 64, [(1, 129), (0, 129)]),
+])
+def test_point_mass_divergence_names_the_degenerate_trial(B, n, S, zeroed):
+    rng = np.random.default_rng(B * n * S)
+    T, p0, Psi = _block_with_zeros(rng, B, S, n)
+    for b, i in zeroed:
+        Psi[b, i] = 0.0
+    labels = rng.integers(0, S, (B, n))
+    with pytest.raises(DegenerateObservation) as want:
+        batch_forward(T, p0, Psi)
+    with pytest.raises(DegenerateObservation) as got:
+        batch_kld_labels(T, p0, Psi, labels)
+    assert got.value.trial == want.value.trial == min(b for b, _ in zeroed)
+
+
+@pytest.mark.parametrize("labels", [[[0, 1, 3]], [[0, -1, 2]], [[0, 1]], [[0], [1], [2]]])
+def test_point_mass_divergence_rejects_bad_labels(labels):
+    # a flat take would read a label past its row from the next trial's row
+    rng = np.random.default_rng(3)
+    T, p0, Psi = _block_with_zeros(rng, 1, 3, 3)
+    with pytest.raises(ValueError, match="labels"):
+        batch_kld_labels(T, p0, Psi, labels)
 
 
 @pytest.mark.parametrize("accelerated", [False, True])

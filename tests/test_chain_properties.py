@@ -135,16 +135,19 @@ def test_point_mass_divergence_equals_one_hot(block, data):
     # paths whose terms are LOG0
     T, p0, Psi = block
     B, n, M = Psi.shape
-    try:
-        alpha = batch_forward(T, p0, Psi)
-    except DegenerateObservation:
-        assume(False)
     labels = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=B * n,
                                          max_size=B * n))).reshape(B, n)
+    try:
+        alpha = batch_forward(T, p0, Psi)
+    except DegenerateObservation as e:
+        with pytest.raises(DegenerateObservation) as got:
+            batch_kld_labels(T, p0, Psi, labels)
+        assert got.value.trial == e.trial
+        return
     one_hot = np.zeros((B, n, M))
     np.put_along_axis(one_hot, labels[:, :, None], 1.0, axis=2)
     want = batch_kld(T, alpha, one_hot)
-    assert batch_kld_labels(T, alpha, labels).tobytes() == want.tobytes()
+    assert batch_kld_labels(T, p0, Psi, labels).tobytes() == want.tobytes()
 
 
 @SETTINGS
@@ -213,19 +216,20 @@ def test_pruning_margin_covers_the_rounding_of_the_step():
 def test_mean_field_rows_match_their_single_runs(block, accelerated):
     T, p0, Psi = block
     B = Psi.shape[0]
+    logT, logp0, logPsi = safe_log(T), safe_log(p0), safe_log(Psi)
     init = Psi / Psi.sum(axis=2, keepdims=True)
     p, nu_c, nu_e, conv, tau, _ = marginal_sweep(
-        T, p0, Psi, init, xi=0.0, max_cycles=60, accelerated=accelerated)
+        logT, logp0, logPsi, init, xi=0.0, max_cycles=60, accelerated=accelerated)
     start = np.argmax(Psi, axis=2)
     k, mu_c, mu_e, mconv, mtau = point_mass_sweep(
-        T, p0, Psi, start, max_cycles=60, accelerated=accelerated)
+        logT, logp0, logPsi, start, max_cycles=60, accelerated=accelerated)
     for b in range(B):
-        one = marginal_sweep(T, p0, Psi[b:b + 1], init[b:b + 1], xi=0.0,
+        one = marginal_sweep(logT, logp0, logPsi[b:b + 1], init[b:b + 1], xi=0.0,
                              max_cycles=60, accelerated=accelerated)
         assert np.array_equal(one[0][0], p[b])
         assert (one[1][0], one[2][0], one[3][0]) == (nu_c[b], nu_e[b], conv[b])
         assert np.array_equal(one[4][0], tau[b])
-        pm = point_mass_sweep(T, p0, Psi[b:b + 1], start[b:b + 1], max_cycles=60,
+        pm = point_mass_sweep(logT, logp0, logPsi[b:b + 1], start[b:b + 1], max_cycles=60,
                               accelerated=accelerated)
         assert np.array_equal(pm[0][0], k[b])
         assert (pm[1][0], pm[2][0], pm[3][0]) == (mu_c[b], mu_e[b], mconv[b])
@@ -242,18 +246,13 @@ def test_kld_trace_has_one_entry_per_cycle(block, accelerated, xi, max_cycles):
     # that of the returned pmfs
     T, p0, Psi = block
     init = Psi / Psi.sum(axis=2, keepdims=True)
-
-    def run():
-        return marginal_sweep(T, p0, Psi, init, xi=xi, max_cycles=max_cycles,
-                              accelerated=accelerated, track_kld=True)
-
     try:
         alpha = batch_forward(T, p0, Psi)
     except DegenerateObservation:
-        with pytest.raises(DegenerateObservation):
-            run()
-        return
-    p, nu_c, _, _, _, kld = run()
+        assume(False)
+    p, nu_c, _, _, _, kld = marginal_sweep(
+        safe_log(T), safe_log(p0), safe_log(Psi), init, xi=xi, max_cycles=max_cycles,
+        accelerated=accelerated, kld_rows=(T, alpha))
     for b in range(Psi.shape[0]):
         assert len(kld[b]) == nu_c[b]
         last = batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]
@@ -266,14 +265,15 @@ def test_accelerated_sweeps_reach_the_plain_fixed_point(block):
     # the lemma of the skipping schedule: at xi=0 it stops at the plain
     # sweep's fixed point after as many cycles, with at most its updates
     T, p0, Psi = block
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
     init = Psi / Psi.sum(axis=2, keepdims=True)
-    plain, accel = (marginal_sweep(T, p0, Psi, init, xi=0.0, max_cycles=60,
-                                   accelerated=a) for a in (False, True))
+    plain, accel = (marginal_sweep(*logs, init, xi=0.0, max_cycles=60, accelerated=a)
+                    for a in (False, True))
     assert plain[0].tobytes() == accel[0].tobytes()
     assert np.array_equal(plain[1], accel[1]) and np.array_equal(plain[3], accel[3])
     assert np.all(accel[2] <= plain[2])
     start = np.argmax(Psi, axis=2)
-    plain, accel = (point_mass_sweep(T, p0, Psi, start, max_cycles=60, accelerated=a)
+    plain, accel = (point_mass_sweep(*logs, start, max_cycles=60, accelerated=a)
                     for a in (False, True))
     assert np.array_equal(plain[0], accel[0])
     assert np.array_equal(plain[1], accel[1]) and np.array_equal(plain[3], accel[3])
@@ -285,9 +285,10 @@ def test_accelerated_sweeps_reach_the_plain_fixed_point(block):
 def test_plain_sweep_tau_flags_the_steps_still_due(block, max_cycles):
     # none for a converged trial, every step for one cut at max_cycles
     T, p0, Psi = block
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
     init = Psi / Psi.sum(axis=2, keepdims=True)
-    runs = (marginal_sweep(T, p0, Psi, init, xi=0.0, max_cycles=max_cycles)[1:5],
-            point_mass_sweep(T, p0, Psi, np.argmax(Psi, axis=2), max_cycles=max_cycles)[1:5])
+    runs = (marginal_sweep(*logs, init, xi=0.0, max_cycles=max_cycles)[1:5],
+            point_mass_sweep(*logs, np.argmax(Psi, axis=2), max_cycles=max_cycles)[1:5])
     for nu_c, _, converged, tau in runs:
         assert not tau[converged].any()
         assert tau[~converged].all()

@@ -344,6 +344,25 @@ def test_gaussian_psi_bits_match_the_direct_formula(shape, n0):
     assert got.tobytes() == _psi_reference(x, means, n0).tobytes()
 
 
+@pytest.mark.parametrize("M", [2, 4, 16, 64])
+@pytest.mark.parametrize("shape", [(1, 1), (70,), (5, 130)])
+def test_gaussian_psi_bits_at_nan_inf_and_exact_hits(M, shape):
+    # a row's maximum is read at its argmax: NaN for a NaN row, -inf
+    # (and so NaN) for an infinite one, and -0.0 at an exact hit
+    rng = np.random.default_rng(M)
+    means = QamConstellation(M).points
+    x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    flat[::3] = rng.choice(means, size=flat[::3].size)
+    flat[1::7] = np.nan
+    flat[2::11] = np.inf
+    with np.errstate(invalid="ignore"):
+        got = gaussian_psi(x, means, 0.25)
+        want = _psi_reference(x, means, 0.25)
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(got).any() == (flat.size > 1)
+
+
 def test_gaussian_psi_holds_no_complex_copy_of_its_output():
     import tracemalloc
 

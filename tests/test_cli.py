@@ -272,6 +272,25 @@ def test_fading_model_out_of_range_is_config_error(flag, word, capsys):
     assert "config error" in err and word in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["hmc-awgn", "--m", "-4"], "config error: --m: M must be 2 or an even power of two, got -4"),
+    (["hmc-awgn", "--m", "8"], "config error: --m: M must be 2 or an even power of two, got 8"),
+    (["hmc-fading", "--k", "2", "--rho", "0.5", "--sigma2", "1e-300"],
+     "config error: --sigma2: sigma2 must be in [1e-150, 1e+150], got 1e-300"),
+    (["hmc-fading", "--k", "2", "--rho", "0.5", "--sigma2", "1e200"],
+     "config error: --sigma2: sigma2 must be in [1e-150, 1e+150], got 1e+200"),
+])
+def test_model_setting_errors_name_their_flag(argv, message, tmp_path, capsys):
+    # once an isqrt traceback and a quadrature RuntimeError (or, above
+    # the range, a NaN channel matrix)
+    out = tmp_path / "run.csv"
+    rc = main(argv + ["--seed", "1", "--trials", "2", "--n", "10", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert message in err.splitlines() and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_gdl_count_worked_example(tmp_path, capsys):
     path = str(tmp_path / "ex5.model")
     save_model(_ex5_model(), path)

@@ -1,4 +1,5 @@
-"""The symbol-detection driver against the divergence recipe of its replay.
+"""The symbol-detection driver against the divergence recipe of its replay,
+the quantities a chunk shares among its methods, and the pool size.
 
 The benchmark's traced replay computes the point-mass divergence from
 public calls: a full forward-backward pass, one-hot rows at the labels
@@ -6,12 +7,14 @@ and batch_kld. run_experiment must give the same kld_mean bit for bit,
 without a backward pass.
 """
 
+import os
+
 import numpy as np
 import pytest
 
-from trellis import batch, channel
-from trellis.experiments import (ExperimentConfig, model_generator, run_experiment,
-                                 trial_generator)
+from trellis import batch, channel, experiments, numerics
+from trellis.experiments import (HMC_METHODS, ExperimentConfig, model_generator,
+                                 run_experiment, trial_generator)
 
 
 def _one_hot_kld_means(cfg):
@@ -70,3 +73,77 @@ def test_point_mass_kld_matches_one_hot_recipe(scenario, monkeypatch):
     got = [row["kld_mean"] for row in run_experiment(cfg)]
     assert min(got) > 0
     assert np.array(got).tobytes() == np.array(want).tobytes()
+
+
+@pytest.mark.parametrize("methods", [("ml", "va", "fcvb"), HMC_METHODS])
+def test_chunk_forms_likelihood_logs_and_ml_labels_once(methods, monkeypatch):
+    # every module that takes safe_log or batch_ml is watched, so a
+    # kernel that forms its own copy of either is counted
+    likelihoods, log_calls, ml_calls = [], [], []
+    real_psi, real_log, real_ml = channel.gaussian_psi, numerics.safe_log, batch.batch_ml
+
+    def psi(*args):
+        likelihoods.append(real_psi(*args))
+        return likelihoods[-1]
+
+    def safe_log(x):
+        log_calls.extend(x is L for L in likelihoods)
+        return real_log(x)
+
+    def batch_ml(Psi):
+        ml_calls.append(Psi is likelihoods[-1])
+        return real_ml(Psi)
+
+    monkeypatch.setattr(experiments, "gaussian_psi", psi)
+    for module in (experiments, batch):
+        monkeypatch.setattr(module, "safe_log", safe_log)
+        monkeypatch.setattr(module, "batch_ml", batch_ml)
+    cfg = ExperimentConfig(scenario="fading", M=4, K=2, ebn0_db=8.0, rho=0.5, n=30,
+                           trials=5, seed=11, methods=methods, chunk=2)
+    rows = run_experiment(cfg)
+    assert len(likelihoods) == 3  # chunks of 2, 2 and 1 trials
+    assert sum(log_calls) == 3 and ml_calls == [True] * 3
+    # the shared arrays change no output, whichever method forms them
+    back = {row["method"]: row for row in run_experiment(
+        cfg._replace(methods=tuple(reversed(methods))))}
+    for row in rows:
+        want = dict(back[row["method"]], wall_ms=row["wall_ms"])
+        assert row == want
+
+
+class _RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records max_workers and
+    runs the chunks in this process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, workers", [
+    (5000, 3, 8, 3),  # no more workers than chunks
+    (5000, 40, 3, 3),  # nor than CPUs
+    (2, 40, 8, 2),
+    (5000, 1, 8, None),  # one chunk runs without a pool
+    (4, 40, 1, None),  # as does one CPU
+    (4, 40, None, None),  # or an unknown count
+])
+def test_map_chunks_caps_the_pool(jobs, trials, cpus, workers, monkeypatch):
+    import concurrent.futures
+
+    _RecordingPool.sizes = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    got = experiments._map_chunks(lambda point, t0, t1: (point, t0, t1), "p", trials, 1, jobs)
+    assert got == [("p", t, t + 1) for t in range(trials)]
+    assert _RecordingPool.sizes == ([] if workers is None else [workers])
