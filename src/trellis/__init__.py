@@ -10,8 +10,7 @@ from .experiments import (ExperimentConfig, run_experiment,
                           run_freq_experiment, run_pe_demo, write_csv)
 from .factors import (CITopology, Factor, FactorModel, VariableSpace,
                       fa_partition, load_model, nln_partition, save_model)
-from .freq import (FreqPrior, dft_grid, fitz_estimate, freq_posterior,
-                   kay_estimate, periodogram_ml, tvb_freq, vb_freq)
+from .freq import FreqPrior, dft_grid, freq_posterior, tvb_freq, vb_freq
 from .gdl import (NofViolation, count_operators, dual_entropy,
                   fb_reduce_sequential, fb_reduce_single, naive_reduce)
 from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
@@ -30,11 +29,10 @@ __all__ = [
     "channel_transition_matrix", "check_laws", "count_operators",
     "dft_grid", "dual_entropy", "fa_partition", "fb_algorithm",
     "fb_reduce_sequential", "fb_reduce_single", "fcvb_run",
-    "fitz_estimate", "freq_posterior", "init_shaping", "ivb_run",
-    "kay_estimate", "kld_vb", "load_model", "ml_detect", "naive_reduce",
-    "nln_partition", "pe_approximate", "pe_model", "periodogram_ml",
-    "posterior_chain_factors", "rayleigh_quantizer", "rho_from_doppler",
-    "run_experiment", "run_freq_experiment", "run_pe_demo", "save_model",
-    "semiring", "snr_to_n0", "tvb_freq", "vb_freq", "viterbi",
-    "write_csv",
+    "freq_posterior", "init_shaping", "ivb_run", "kld_vb", "load_model",
+    "ml_detect", "naive_reduce", "nln_partition", "pe_approximate",
+    "pe_model", "posterior_chain_factors", "rayleigh_quantizer",
+    "rho_from_doppler", "run_experiment", "run_freq_experiment",
+    "run_pe_demo", "save_model", "semiring", "snr_to_n0", "tvb_freq",
+    "vb_freq", "viterbi", "write_csv",
 ]

@@ -13,9 +13,14 @@ one step of one block of trials each, that a single schedule loop,
 _sweep, runs and counts.
 The scalar API in hmc and vb runs them with B=1. Labels are 0-based
 and ties resolve to the smallest index. A trial gets the same bits
-alone or in a block, except from a BLAS matrix product, which may
+alone or in a block, with two exceptions. A BLAS matrix product may
 round a row differently with a different number of rows: in the
-sum-product pass and in the marginal sweep at xi >= KS_RESOLUTION.
+sum-product pass, in the marginal sweep at xi >= KS_RESOLUTION and in
+batch_kld's per-step predictive product. And on two states, numpy's
+three-operand einsum in batch_kld (bk,kl,bl->b) orders its sum by the
+block's shape. So the marginal sweep's per-cycle divergence trace,
+which calls batch_kld on one row at a time, can differ in the last
+bits from a batch_kld call on the whole block.
 
 The Viterbi step is exact but pruned: with at least _PRUNE_MIN_STATES
 states it runs only over the states whose shifted metric is within a

@@ -136,6 +136,14 @@ def check_qam_order(M):
     return M
 
 
+def check_cells(K):
+    """K as an int: a gain quantizer needs at least one cell."""
+    K = int(K)
+    if K < 1:
+        raise ValueError("K must be positive, got %r" % (K,))
+    return K
+
+
 def check_rho(rho):
     """rho as a float: a gain correlation must lie in [0, 1)."""
     r = float(rho)
@@ -167,9 +175,7 @@ def rayleigh_quantizer(K, sigma2=0.5):
     at five times the RMS of the underlying pair of Gaussians. Each
     representative level is the cell's conditional mean.
     """
-    K = int(K)
-    if K < 1:
-        raise ValueError("K must be positive")
+    K = check_cells(K)
     s2 = check_sigma2(sigma2)
     thr = np.empty(K + 1)
     thr[0] = 0.0

@@ -171,8 +171,8 @@ def _write(args, header, rows, x_field=None, metrics=()):
 
 
 def _cmd_hmc(args):
-    from .channel import rho_from_doppler
-    from .experiments import (ExperimentConfig, HMC_CSV_HEADER, check_experiment,
+    from .channel import check_rho, rho_from_doppler
+    from .experiments import (ExperimentConfig, HMC_CSV_HEADER, _named, check_experiment,
                               run_experiment)
 
     ebn0s = _csv_floats(args.ebn0)
@@ -182,7 +182,9 @@ def _cmd_hmc(args):
         if args.rho is not None:
             rhos = _csv_floats(args.rho)
         elif args.fdts is not None:
-            rhos = [rho_from_doppler(f) for f in _csv_floats(args.fdts)]
+            # an error names the Doppler value the user gave, not just its rho
+            rhos = [_named("--fdts %r" % f, check_rho, rho_from_doppler(f))
+                    for f in _csv_floats(args.fdts)]
         else:
             raise _ConfigError("hmc-fading needs --rho or --fdts")
         K = args.k
@@ -209,13 +211,14 @@ def _cmd_freq(args):
     from .experiments import FREQ_CSV_HEADER, check_freq_experiment, run_freq_experiment
 
     points = [dict(n=args.n, snr_db=snr, trials=args.trials, seed=args.seed,
-                   omega_bins=args.omega_bins, cycles=args.cycles, mu_a=args.mu_a,
-                   r_a=args.r_a, methods=_methods(args), chunk=args.chunk, jobs=args.jobs)
+                   omega_bins=args.omega_bins, pad=args.pad, cycles=args.cycles,
+                   mu_a=args.mu_a, r_a=args.r_a, methods=_methods(args), chunk=args.chunk,
+                   jobs=args.jobs)
               for snr in _csv_floats(args.ebn0)]
     # a bad later point fails before the first one runs
     for kw in points:
         check_freq_experiment(**kw)
-    rows = [row for kw in points for row in run_freq_experiment(pad=args.pad, **kw)]
+    rows = [row for kw in points for row in run_freq_experiment(**kw)]
     rows.sort(key=lambda r: (r["snr_db"], r["n"], r["omega_bins"], r["method"]))
     return _write(args, FREQ_CSV_HEADER, rows, "snr_db", ["rms_bins"])
 
@@ -270,7 +273,7 @@ def _selftest_checks():
                         marginal_sweep, point_mass_sweep)
     from .channel import channel_transition_matrix, rayleigh_pair_logpdf, rayleigh_quantizer
     from .factors import Factor, FactorModel, VariableSpace
-    from .freq import FreqPrior, dft_grid, freq_posterior, kay_weights, tvb_freq, vb_freq
+    from .freq import FreqPrior, dft_grid, freq_posterior, tvb_freq, vb_freq
     from .gdl import dual_entropy, fb_reduce_sequential, fb_reduce_single, naive_reduce
     from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
                       fb_algorithm, viterbi)
@@ -397,9 +400,6 @@ def _selftest_checks():
         ref /= ref.sum(axis=0, keepdims=True)
         assert channel_transition_matrix(K, rho, s2).tobytes() == ref.tobytes()
 
-    def check_kay_weights():
-        assert abs(kay_weights(64).sum() - 1.0) < 1e-12
-
     def check_freq_batch_rows():
         # the tone experiments run trials in blocks and the per-trial
         # replay must reproduce them, so a row of a block is bit-exact
@@ -446,7 +446,6 @@ def _selftest_checks():
         ("accelerated sweep equivalence", check_lemma_equivalence),
         ("quantizer threshold", check_quantizer_threshold),
         ("channel quadrature vs fresh grids", check_channel_quadrature),
-        ("phase-increment weights", check_kay_weights),
         ("freq_batch_rows", check_freq_batch_rows),
         ("dual-number cross entropy", check_dual_entropy),
         ("quartic density normalization", check_pe_normalization),

@@ -3,8 +3,9 @@
 Both runners take one path. `check_experiment` / `check_freq_experiment`
 check the point first, drawing nothing: `_check_run` the seed, the
 counts, the Eb/N0 and the methods, `_noise_level` the noise level
-the Eb/N0 gives, and the channel's own rules a fading point's rho and
-sigma2; the point's model goes into one record, built once;
+the Eb/N0 gives, the channel's own rules a fading point's rho, sigma2
+and K, and `_check_size` the bytes of the point's largest arrays; the
+point's model goes into one record, built once;
 `_map_chunks` calls the chunk worker on that record and each chunk's
 trial range [t0, t1), serially or on a pool of at most as many workers
 as there are chunks and CPUs, and returns the partial results in trial
@@ -39,6 +40,7 @@ from .channel import (
     augmented_model,
     awgn_observe,
     channel_transition_matrix,
+    check_cells,
     check_qam_order,
     check_rho,
     check_sigma2,
@@ -221,6 +223,22 @@ def _map_chunks(worker, point, trials, chunk, jobs):
     return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
 
 
+# The most bytes a point's largest arrays may take together. Past it,
+# numpy fails mid-run with a MemoryError traceback, maybe after earlier
+# points have run; below it, a run fits a workstation. Criterion 7's
+# 500 x 1000 x 64 chunk counts 0.48 GiB (its likelihood and logs), the
+# CLI defaults and the benchmark workloads less. The tracemalloc peak of
+# a 500-trial HMC chunk was 1.5 to 3.3 times its count.
+_MAX_POINT_BYTES = 4 << 30
+
+
+def _check_size(nbytes, flags):
+    # whole GiB in integer arithmetic: a float could overflow on a huge --n
+    if nbytes > _MAX_POINT_BYTES:
+        raise ValueError("%s: a point's largest arrays take %d GiB; a run may ask for "
+                         "at most %d GiB" % (flags, nbytes >> 30, _MAX_POINT_BYTES >> 30))
+
+
 def check_experiment(cfg):
     """The checks of run_experiment(cfg), which build and draw nothing.
 
@@ -233,19 +251,25 @@ def check_experiment(cfg):
     StoppingConfig(cfg.xi, cfg.max_cycles)
     if cfg.scenario not in ("awgn", "fading"):
         raise ValueError("scenario must be 'awgn' or 'fading'")
-    _named("--m", check_qam_order, cfg.M)
+    M = _named("--m", check_qam_order, cfg.M)
+    K, flags = 1, "--m %d, --n %d, --chunk %d" % (M, cfg.n, cfg.chunk)
     if cfg.scenario == "fading":
         if cfg.rho is None:
             raise ValueError("fading needs rho")
-        check_rho(cfg.rho)
+        _named("--rho", check_rho, cfg.rho)
         _named("--sigma2", check_sigma2, cfg.sigma2)
+        K = _named("--k", check_cells, cfg.K)
+        flags += ", --k %d" % K
+    # a chunk's (B, n, S) likelihood and its logs, T (S x S) and T_c (K x K)
+    B, S = min(cfg.chunk, cfg.trials), M * K
+    _check_size(8 * (2 * B * cfg.n * S + S * S + K * K), flags)
     return seed, n0
 
 
-def _named(flag, check, value):
-    """check(value), its error prefixed with the CLI flag that sets the value."""
+def _named(flag, check, value, **kw):
+    """check(value, **kw), its error prefixed with the CLI flag that sets the value."""
     try:
-        return check(value)
+        return check(value, **kw)
     except ValueError as e:
         raise ValueError("%s: %s" % (flag, e)) from None
 
@@ -357,13 +381,20 @@ def _sum_in_trial_order(m, parts):
     return total
 
 
-def check_freq_experiment(n, snr_db, trials, seed, omega_bins, cycles, mu_a, r_a,
+def check_freq_experiment(n, snr_db, trials, seed, omega_bins, pad, cycles, mu_a, r_a,
                           methods, chunk, jobs):
     """The checks of run_freq_experiment, which draw nothing; returns (seed, omega, r_e).
 
     A caller with many points checks them all before the first runs.
     """
     seed = _check_run(seed, trials, chunk, n, jobs, snr_db, methods, FREQ_METHODS)
+    if pad < 1:
+        raise ValueError("need pad >= 1, got %r" % (pad,))
+    # the (G, n) sin and phase tables, and a chunk's (B, n) samples and
+    # (B, G) periodogram, on the G = pad * n / 2 grid points
+    B, G = min(chunk, trials), pad * n // 2
+    _check_size(24 * G * n + 8 * B * n + 16 * B * G,
+                "--n %d, --pad %d, --chunk %d" % (n, pad, chunk))
     if cycles < 0:
         raise ValueError("need cycles >= 0, got %r" % (cycles,))
     if not 0.0 < r_a < np.inf:
@@ -387,8 +418,8 @@ def run_freq_experiment(n, snr_db, trials, seed, omega_bins=1.1, pad=8, cycles=5
     variance still enters the inference and the SNR definition, which
     sets r_e = (mu_a^2 + r_a) / (2 * 10^(dB/10)).
     """
-    seed, omega, r_e = check_freq_experiment(n, snr_db, trials, seed, omega_bins, cycles,
-                                             mu_a, r_a, methods, chunk, jobs)
+    seed, omega, r_e = check_freq_experiment(n, snr_db, trials, seed, omega_bins, pad,
+                                             cycles, mu_a, r_a, methods, chunk, jobs)
     point = _FreqPoint(seed, n, omega, r_e, mu_a, r_a, pad, cycles, tuple(methods))
     partials = _map_chunks(_run_freq_chunk, point, trials, chunk, jobs)
     bin_w = 2.0 * np.pi / n
@@ -408,9 +439,10 @@ def run_pe_demo(rhos, transform="eigen"):
     """KLD of both factorizations of the quartic-exponent bivariate."""
     from .pe import pe_approximate, pe_model
 
+    # a bad later rho fails before the first one runs
+    models = [_named("--rho", pe_model, rho, method=transform) for rho in rhos]
     rows = []
-    for rho in rhos:
-        model = pe_model(rho, method=transform)
+    for rho, model in zip(rhos, models):
         _, kv = pe_approximate(model, "vb")
         _, kt = pe_approximate(model, "tvb")
         rows.append({"rho": float(rho), "kld_vb": kv, "kld_tvb": kt})

@@ -6,8 +6,6 @@ one alphabet size M). The no-longer-needed / first-appearance partitions
 of the universe drive the forward-backward reduction in gdl.py.
 """
 
-from collections import namedtuple
-
 import numpy as np
 
 
@@ -137,33 +135,6 @@ class CITopology:
         if not 1 <= i <= n - 1:
             raise ValueError("in-process set needs 1 <= i <= n-1")
         return self.fa[i] | self.eta[i - 1] | self.nln[i - 1]
-
-
-def ternary_partition(topology, i):
-    """Split the universe into (first-appearance after i, common, no-longer-needed)."""
-    model = topology.model
-    n = model.n
-    if not 1 <= i <= n:
-        raise ValueError("split index out of range")
-    fa_tail = model.universe - model.omega_range(1, i)
-    nln_head = model.universe - model.omega_range(i + 1, n)
-    return fa_tail, eta_set(model, i), nln_head
-
-
-OccupancyMatrix = namedtuple("OccupancyMatrix", ["matrix", "row_vars", "col_factors"])
-
-
-def build_occupancy_matrix(model):
-    """Binary m x n membership matrix, rows m..1 and columns omega_n..omega_1."""
-    m, n = model.space.m, model.n
-    row_vars = list(range(m, 0, -1))
-    col_factors = list(range(n, 0, -1))
-    mat = np.zeros((m, n), dtype=int)
-    for r, v in enumerate(row_vars):
-        for c, i in enumerate(col_factors):
-            if v in model.omega(i):
-                mat[r, c] = 1
-    return OccupancyMatrix(mat, row_vars, col_factors)
 
 
 def save_model(model, path):

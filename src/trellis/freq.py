@@ -1,11 +1,10 @@
 """Single-tone frequency estimation in white Gaussian noise.
 
-Classical estimators (periodogram peak, weighted phase increments,
-autocorrelation phase averaging) work on complex samples. The Bayesian
-path models real samples x_i = a sin(Omega i) + z_i: the amplitude is
-eliminated analytically, Omega lives on a shared zero-padded DFT grid,
-and two approximations (plain mean-field and the sheared-variable
-variant) refine the marginal. All grid marginals are discrete pmfs.
+Omega lives on a shared zero-padded DFT grid, where the periodogram is
+evaluated. The Bayesian path models real samples x_i = a sin(Omega i)
++ z_i: the amplitude is eliminated analytically, and two approximations
+(plain mean-field and the sheared-variable variant) refine the grid
+marginal. All grid marginals are discrete pmfs.
 
 The Bayesian calls take one trial x of shape (n,) or a block of B
 trials of shape (B, n). A block runs each step once as a (B, G) array
@@ -18,7 +17,6 @@ shape, and every reduction runs along the contiguous last axis.
 """
 
 import functools
-import warnings
 from collections import namedtuple
 
 import numpy as np
@@ -74,50 +72,6 @@ def periodogram(x, grid):
     x = np.asarray(x)
     ph = _phase_table(_grid_key(grid), x.shape[-1])
     return np.abs(x @ ph.T) ** 2
-
-
-def periodogram_ml(x, grid):
-    """Grid frequency with the largest periodogram value."""
-    grid = np.asarray(grid)
-    return float(grid[int(np.argmax(periodogram(x, grid)))])
-
-
-def kay_weights(n):
-    k = np.arange(1, n)
-    return 1.5 * n / (n ** 2 - 1.0) * (1.0 - ((2.0 * k - n) / n) ** 2)
-
-
-def kay_estimate(x):
-    """Weighted average of successive phase increments (complex samples)."""
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if np.any(x == 0):
-        raise ValueError("zero sample has no phase")
-    inc = np.angle(x[1:] * np.conj(x[:-1]))
-    return float(kay_weights(n) @ inc)
-
-
-def fitz_estimate(x, L=None):
-    """Average autocorrelation phase slope (complex samples).
-
-    R[m] is the lag-m sample autocorrelation; the estimate divides the
-    summed phases by the triangular count.
-    """
-    x = np.asarray(x)
-    n = x.shape[-1]
-    if L is None:
-        L = n - 1
-    if not 1 <= L <= n - 1:
-        raise ValueError("L must be in 1..n-1")
-    phases = np.empty(L)
-    for m in range(1, L + 1):
-        R = np.sum(x[m:] * np.conj(x[:-m])) / (n - m)
-        phases[m - 1] = np.angle(R)
-    if np.any(np.abs(phases) > 0.95 * np.pi):
-        warnings.warn("autocorrelation phase near +-pi; estimate may wrap", stacklevel=2)
-    return float(2.0 / (L * (L + 1.0)) * phases.sum())
 
 
 @functools.lru_cache(maxsize=8)

@@ -233,7 +233,7 @@ def count_operators(model, S, i=None, mode="fb"):
     raise ValueError("mode must be 'fb' or 'naive'")
 
 
-def dual_entropy(model_f, model_q, joint_tol=1e-9):
+def dual_entropy(model_f, model_q):
     """E_f log q via one dual-number reduction over the whole universe.
 
     The factors of f and q must pair up positionally with identical
@@ -248,7 +248,7 @@ def dual_entropy(model_f, model_q, joint_tol=1e-9):
         if np.any(gf.table < 0):
             raise ValueError("f factors must be non-negative")
     mass = fb_reduce_single(model_f, semiring("sum-product"), model_f.universe)
-    if abs(float(mass.table) - 1.0) > joint_tol:
+    if abs(float(mass.table) - 1.0) > 1e-9:
         raise ValueError("f factors do not form a normalized joint")
 
     duals = []

@@ -21,7 +21,7 @@ BRUTE_GUARD = 10 ** 6
 
 
 class HmcModel:
-    def __init__(self, T, p, Psi, tol=1e-9):
+    def __init__(self, T, p, Psi):
         T = np.asarray(T, dtype=float)
         p = np.asarray(p, dtype=float)
         Psi = np.asarray(Psi, dtype=float)
@@ -32,9 +32,9 @@ class HmcModel:
             raise ValueError("p length must match T")
         if Psi.ndim != 2 or Psi.shape[1] != M:
             raise ValueError("Psi must be n x M")
-        if np.any(T < 0) or np.max(np.abs(T.sum(axis=0) - 1.0)) > tol:
+        if np.any(T < 0) or np.max(np.abs(T.sum(axis=0) - 1.0)) > 1e-9:
             raise ValueError("T columns must sum to one")
-        if np.any(p < 0) or abs(p.sum() - 1.0) > tol:
+        if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("p must be a simplex vector")
         if np.any(Psi < 0):
             raise ValueError("Psi entries must be non-negative")

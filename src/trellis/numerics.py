@@ -139,11 +139,11 @@ def simpson_1d(f, a, b, n):
     return h * np.dot(simpson_weights(n), f(x))
 
 
-def adaptive_simpson_1d(f, a, b, rtol=1e-8, n0=64, n_max=1 << 16):
-    """Doubles the Simpson interval count until the relative change < rtol."""
-    n = n0
+def adaptive_simpson_1d(f, a, b, rtol=1e-8):
+    """Simpson from 64 intervals, doubled (up to 2**16) until the relative change < rtol."""
+    n = 64
     prev = simpson_1d(f, a, b, n)
-    while n < n_max:
+    while n < 1 << 16:
         n *= 2
         cur = simpson_1d(f, a, b, n)
         if abs(cur - prev) <= rtol * max(abs(cur), 1e-300):

@@ -1,13 +1,14 @@
 """Bivariate power-exponential density and its factored approximations.
 
 The target is f(theta) proportional to exp(-u^2/2) with the Mahalanobis
-quadratic u = (theta-mu)' Sigma^{-1} (theta-mu); its normalizer is
-sqrt(2)/pi^{3/2} / sqrt(|Sigma|). Mean-field marginals in the original
-axes get quartic exponents coupled through moments of the other axis;
-the transformed variant decorrelates the quadratic first (orthogonal
-eigenbasis or unit-triangular factor, both unit Jacobian), runs the
-same scheme there and measures divergence in that space, which makes
-its divergence essentially independent of the correlation.
+quadratic u = theta' Sigma^{-1} theta, where Sigma has unit variances
+and correlation rho; its normalizer is sqrt(2)/pi^{3/2} / sqrt(|Sigma|).
+Mean-field marginals in the original axes get quartic exponents coupled
+through moments of the other axis; the transformed variant decorrelates
+the quadratic first (orthogonal eigenbasis or unit-triangular factor,
+both unit Jacobian), runs the same scheme there and measures divergence
+in that space, which makes its divergence essentially independent of
+the correlation.
 """
 
 from collections import namedtuple
@@ -18,26 +19,22 @@ from .numerics import adaptive_simpson_2d, simpson_weights
 
 PE_NORM = np.sqrt(2.0) / np.pi ** 1.5
 
-PeModel = namedtuple("PeModel", ["mu", "Sigma", "rho", "method"])
+PeModel = namedtuple("PeModel", ["Sigma", "rho", "method"])
 
 
-def pe_model(rho, sigma1=1.0, sigma2=1.0, mu=(0.0, 0.0), method="eigen"):
+def pe_model(rho, method="eigen"):
     if not -1.0 < rho < 1.0:
-        raise ValueError("rho must be in (-1, 1)")
+        raise ValueError("rho must be in (-1, 1), got %r" % (rho,))
     if method not in ("eigen", "ldu"):
         raise ValueError("method must be 'eigen' or 'ldu'")
-    Sigma = np.array(
-        [[sigma1 ** 2, rho * sigma1 * sigma2], [rho * sigma1 * sigma2, sigma2 ** 2]]
-    )
-    return PeModel(np.asarray(mu, dtype=float), Sigma, float(rho), method)
+    Sigma = np.array([[1.0, rho], [rho, 1.0]])
+    return PeModel(Sigma, float(rho), method)
 
 
 def pe_logpdf(th1, th2, model):
     """Log density, broadcastable over grids of the two coordinates."""
     H = np.linalg.inv(model.Sigma)
-    t1 = th1 - model.mu[0]
-    t2 = th2 - model.mu[1]
-    u = H[0, 0] * t1 ** 2 + 2.0 * H[0, 1] * t1 * t2 + H[1, 1] * t2 ** 2
+    u = H[0, 0] * th1 ** 2 + 2.0 * H[0, 1] * th1 * th2 + H[1, 1] * th2 ** 2
     return np.log(PE_NORM) - 0.5 * np.log(np.linalg.det(model.Sigma)) - 0.5 * u ** 2
 
 
@@ -64,35 +61,34 @@ class _GridFactor:
         return float(self._w @ (self._x ** k * f))
 
 
-def _quartic_coeffs(m1_j, m2_j, m3_j, s_i, s_j, rho):
-    # exponent of the axis-i factor: -c * (t^4/s_i^4 + a3 t^3 + a2 t^2 + a1 t)
+def _quartic_coeffs(m1_j, m2_j, m3_j, rho):
+    # exponent of the axis-i factor: -c * (t^4 + a3 t^3 + a2 t^2 + a1 t)
     c = 1.0 / (2.0 * (1.0 - rho ** 2) ** 2)
-    a3 = -4.0 * rho * m1_j / (s_i ** 3 * s_j)
-    a2 = (2.0 + 4.0 * rho ** 2) * m2_j / (s_i ** 2 * s_j ** 2)
-    a1 = -4.0 * rho * m3_j / (s_i * s_j ** 3)
+    a3 = -4.0 * rho * m1_j
+    a2 = (2.0 + 4.0 * rho ** 2) * m2_j
+    a1 = -4.0 * rho * m3_j
     return c, a3, a2, a1
 
 
 def pe_vb(model):
-    """Mean-field marginals on the original (centered) axes.
+    """Mean-field marginals on the original axes.
 
-    Returns _GridFactor marginals of t_i = theta_i - mu_i on +-8 sd and
-    the moments once none moves by 1e-10; raises after 300 sweeps.
+    Returns _GridFactor marginals of theta_1 and theta_2 on [-8, 8] (8 sd)
+    and the moments once none moves by 1e-10; raises after 300 sweeps.
     """
-    s = np.sqrt(np.diag(model.Sigma))
     rho = model.rho
-    moments = np.array([[0.0, s[0] ** 2, 0.0], [0.0, s[1] ** 2, 0.0]])
+    moments = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
     factors = [None, None]
     for _ in range(300):
         prev = moments.copy()
         for i in range(2):
             j = 1 - i
-            c, a3, a2, a1 = _quartic_coeffs(*moments[j], s[i], s[j], rho)
+            c, a3, a2, a1 = _quartic_coeffs(*moments[j], rho)
 
-            def logf(t, c=c, a3=a3, a2=a2, a1=a1, s4=s[i] ** 4):
-                return -c * (t ** 4 / s4 + a3 * t ** 3 + a2 * t ** 2 + a1 * t)
+            def logf(t, c=c, a3=a3, a2=a2, a1=a1):
+                return -c * (t ** 4 + a3 * t ** 3 + a2 * t ** 2 + a1 * t)
 
-            factors[i] = _GridFactor((-8.0 * s[i], 8.0 * s[i]), logf)
+            factors[i] = _GridFactor((-8.0, 8.0), logf)
             moments[i] = [factors[i].moment(k) for k in (1, 2, 3)]
         if np.max(np.abs(moments - prev)) < 1e-10:
             return factors, moments
@@ -100,7 +96,7 @@ def pe_vb(model):
 
 
 def _transform(model):
-    """Decoupling matrix A (phi = A (theta-mu)) and the diagonal weights."""
+    """Decoupling matrix A (phi = A theta) and the diagonal weights."""
     H = np.linalg.inv(model.Sigma)
     if model.method == "eigen":
         lam, Q = np.linalg.eigh(H)
@@ -137,12 +133,12 @@ def pe_tvb(model):
     raise RuntimeError("transformed mean-field moments did not settle")
 
 
-def _kld_2d(f1, f2, log_joint, rtol=1e-7):
+def _kld_2d(f1, f2, log_joint):
     def integrand(x, y):
         lf = f1.logpdf(x) + f2.logpdf(y)
         return np.exp(lf) * (lf - log_joint(x, y))
 
-    return adaptive_simpson_2d(integrand, f1.lo, f1.hi, f2.lo, f2.hi, rtol=rtol)
+    return adaptive_simpson_2d(integrand, f1.lo, f1.hi, f2.lo, f2.hi, rtol=1e-7)
 
 
 def pe_approximate(model, method="vb"):
@@ -155,11 +151,8 @@ def pe_approximate(model, method="vb"):
     """
     if method == "vb":
         factors, _ = pe_vb(model)
-
-        def log_joint(t1, t2):
-            return pe_logpdf(t1 + model.mu[0], t2 + model.mu[1], model)
-
-        return factors, _kld_2d(factors[0], factors[1], log_joint)
+        return factors, _kld_2d(factors[0], factors[1],
+                                lambda t1, t2: pe_logpdf(t1, t2, model))
     if method == "tvb":
         factors, _, lam = pe_tvb(model)
         log_norm = np.log(PE_NORM) + 0.5 * np.log(lam[0] * lam[1])

@@ -39,15 +39,6 @@ VbResult = namedtuple(
 FcvbResult = namedtuple("FcvbResult", ["labels", "nu_c", "nu_e", "converged", "tau"])
 
 
-def ks_distance(p, q):
-    """Max absolute CDF gap between two pmfs over states 1..M."""
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    if p.shape != q.shape:
-        raise ValueError("pmf length mismatch")
-    return float(np.max(np.abs(np.cumsum(p) - np.cumsum(q))))
-
-
 def init_shaping(mode, Psi):
     """Initial per-step marginals: 'uniform' rows or row-normalized 'ml'."""
     Psi = np.asarray(Psi, dtype=float)

@@ -279,16 +279,62 @@ def test_fading_model_out_of_range_is_config_error(flag, word, capsys):
      "config error: --sigma2: sigma2 must be in [1e-150, 1e+150], got 1e-300"),
     (["hmc-fading", "--k", "2", "--rho", "0.5", "--sigma2", "1e200"],
      "config error: --sigma2: sigma2 must be in [1e-150, 1e+150], got 1e+200"),
+    (["hmc-fading", "--k", "2", "--fdts", "0.5"],
+     "config error: --fdts 0.5: rho must be in [0, 1), got -0.3042421776440937"),
+    (["hmc-fading", "--k", "2", "--rho", "1.0"],
+     "config error: --rho: rho must be in [0, 1), got 1.0"),
+    (["hmc-fading", "--k", "-3", "--rho", "0.5"],
+     "config error: --k: K must be positive, got -3"),
+    (["pe-demo", "--rho", "0.2,1.5"], "config error: --rho: rho must be in (-1, 1), got 1.5"),
 ])
-def test_model_setting_errors_name_their_flag(argv, message, tmp_path, capsys):
-    # once an isqrt traceback and a quadrature RuntimeError (or, above
-    # the range, a NaN channel matrix)
+def test_model_setting_errors_name_their_flag(argv, message, monkeypatch, tmp_path, capsys):
+    # once an isqrt traceback, a quadrature RuntimeError (or, above the
+    # range, a NaN channel matrix) or an error that named no flag
+    import trellis.pe
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a pe-demo point ran before every rho was checked")
+
+    monkeypatch.setattr(trellis.pe, "pe_approximate", no_run)
     out = tmp_path / "run.csv"
-    rc = main(argv + ["--seed", "1", "--trials", "2", "--n", "10", "--out", str(out)])
+    if argv[0] != "pe-demo":
+        argv = argv + ["--seed", "1", "--trials", "2", "--n", "10"]
+    rc = main(argv + ["--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
     assert message in err.splitlines() and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["hmc-awgn", "--n", "1000000000", "--trials", "500"], "--m 4, --n 1000000000, --chunk 500"),
+    (["freq", "--n", "100000000"], "--n 100000000, --pad 8, --chunk 2000"),
+    (["hmc-fading", "--k", "100000", "--rho", "0.5"], "--m 4, --n 1000, --chunk 500, --k 100000"),
+])
+def test_oversized_run_is_config_error(argv, flags, tmp_path, capsys):
+    # once numpy MemoryError tracebacks, the fading one after building
+    # the 100000-cell quantizer
+    out = tmp_path / "run.csv"
+    rc = main(argv + ["--seed", "1", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and errors[0].startswith("config error: %s: " % flags)
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_size_bound_admits_defaults_and_criterion_7():
+    from trellis.experiments import (FREQ_METHODS, ExperimentConfig, check_experiment,
+                                     check_freq_experiment)
+
+    # the hmc-awgn and hmc-fading defaults, criterion 7's 500 x 1000 x 64
+    # chunks and the freq defaults
+    check_experiment(ExperimentConfig(seed=1))
+    check_experiment(ExperimentConfig(scenario="fading", K=8, rho=0.5, seed=1))
+    check_experiment(ExperimentConfig(scenario="fading", M=16, K=4, ebn0_db=30.0, rho=0.999,
+                                      seed=1, methods=("ml", "va", "fcvb")))
+    check_freq_experiment(n=64, snr_db=5.0, trials=10000, seed=1, omega_bins=1.1, pad=8,
+                          cycles=5, mu_a=1.0, r_a=0.1, methods=FREQ_METHODS, chunk=2000, jobs=1)
 
 
 def test_gdl_count_worked_example(tmp_path, capsys):

@@ -11,13 +11,11 @@ from trellis.factors import (
     Factor,
     FactorModel,
     VariableSpace,
-    build_occupancy_matrix,
     eta_set,
     fa_partition,
     load_model,
     nln_partition,
     save_model,
-    ternary_partition,
 )
 from trellis.semiring import semiring
 
@@ -51,25 +49,6 @@ def test_model_requires_coverage():
         _model([[1, 2]], m=3)
 
 
-def test_occupancy_matrix_worked_example():
-    occ = build_occupancy_matrix(_model(EX5, 5))
-    assert occ.row_vars == [5, 4, 3, 2, 1]
-    assert occ.col_factors == [4, 3, 2, 1]
-    expect = np.array([
-        [1, 0, 0, 0],   # variable 5: factor 4 only
-        [0, 1, 0, 0],   # variable 4: factor 3
-        [1, 1, 1, 0],   # variable 3: factors 4, 3, 2
-        [0, 0, 1, 1],   # variable 2: factors 2, 1
-        [1, 0, 0, 1],   # variable 1: factors 4, 1
-    ])
-    assert np.array_equal(occ.matrix, expect)
-
-
-def test_occupancy_single_factor_all_ones():
-    occ = build_occupancy_matrix(_model([[1, 2, 3]], m=3))
-    assert np.array_equal(occ.matrix, np.ones((3, 1), dtype=int))
-
-
 def test_nln_worked_example():
     nln = nln_partition(_model(EX5, 5))
     assert nln == [frozenset(), {2}, {4}, {5, 3, 1}]
@@ -92,13 +71,9 @@ def test_disjoint_factors_trivial_partitions():
 
 
 def test_ternary_partition_worked_example():
-    model = _model(EX5, 5)
-    topo = CITopology(model)
-    fa_tail, eta, nln_head = ternary_partition(topo, 3)
-    assert eta == {3, 1}
-    assert fa_tail == {5}
-    assert nln_head == {4, 2}
-    assert fa_tail | eta | nln_head == model.universe
+    # the middle set of the universe's split at factor 3, between {5}
+    # (first seen after it) and {4, 2} (no longer needed after it)
+    assert eta_set(_model(EX5, 5), 3) == {3, 1}
 
 
 def test_eta_chain():

@@ -1,4 +1,4 @@
-"""Tone frequency estimators: classical, grid posterior, mean-field refinements."""
+"""Tone frequency estimators: periodogram, grid posterior, mean-field refinements."""
 
 import numpy as np
 import pytest
@@ -8,12 +8,8 @@ from scipy import integrate
 from trellis.freq import (
     FreqPrior,
     dft_grid,
-    fitz_estimate,
     freq_posterior,
-    kay_estimate,
-    kay_weights,
     periodogram,
-    periodogram_ml,
     tvb_freq,
     tvb_u12,
     vb_freq,
@@ -46,51 +42,11 @@ def test_dft_grid_rejects_pad_below_one(pad):
         dft_grid(16, pad=pad)
 
 
-def test_kay_weights_sum_to_one():
-    for n in range(2, 1025):
-        assert abs(kay_weights(n).sum() - 1.0) < 1e-12
-
-
-def test_kay_noiseless_exact():
-    omega = 0.7
-    n = 32
-    x = np.exp(1j * omega * np.arange(n))
-    assert abs(kay_estimate(x) - omega) < 1e-10
-    two = np.exp(1j * omega * np.arange(2))
-    assert abs(kay_estimate(two) - omega) < 1e-14
-
-
-def test_kay_input_validation():
-    with pytest.raises(ValueError):
-        kay_estimate(np.array([1.0 + 0j]))
-    with pytest.raises(ValueError):
-        kay_estimate(np.array([1.0, 0.0, 1.0], dtype=complex))
-
-
-def test_fitz_noiseless_exact():
-    # lag-m phases are m * omega, so keep L * omega below pi
-    x = np.exp(1j * 0.1 * np.arange(24))
-    assert abs(fitz_estimate(x) - 0.1) < 1e-10
-    y = np.exp(1j * 0.45 * np.arange(24))
-    assert abs(fitz_estimate(y, L=6) - 0.45) < 1e-10
-
-
-def test_fitz_wrap_warning():
-    x = np.exp(1j * 3.0 * np.arange(12))
-    with pytest.warns(UserWarning):
-        fitz_estimate(x)
-    with pytest.raises(ValueError):
-        fitz_estimate(x, L=12)
-
-
 def test_periodogram_peak_on_bin():
     n = 64
     grid = dft_grid(n, pad=1)
-    omega = grid[5]
-    x = _tone(n, omega)
-    p = periodogram(x, grid)
+    p = periodogram(_tone(n, grid[5]), grid)
     assert int(np.argmax(p)) == 5
-    assert periodogram_ml(x, grid) == omega
 
 
 def test_periodogram_batched():

@@ -18,7 +18,6 @@ from trellis.vb import (
     init_shaping,
     ivb_run,
     kld_vb,
-    ks_distance,
 )
 
 
@@ -32,13 +31,6 @@ def _product_table(p):
     for row in p:
         out = np.multiply.outer(out, row)
     return out
-
-
-def test_ks_distance():
-    assert ks_distance([0.5, 0.5], [1.0, 0.0]) == 0.5
-    assert ks_distance([0.2, 0.3, 0.5], [0.2, 0.3, 0.5]) == 0.0
-    with pytest.raises(ValueError):
-        ks_distance([0.5, 0.5], [1.0, 0.0, 0.0])
 
 
 def test_init_shaping():
