@@ -8,9 +8,14 @@ likelihoods Psi (B, n, M). The min-sum viterbi_trace and the mean-field
 marginal_sweep and point_mass_sweep take their safe_log (logT, logp0,
 logPsi), so a caller that runs several of them forms the logs once;
 batch_ivb and batch_fcvb run the sweeps from Psi. batch_kld takes
-filtering rows and pmfs. The two mean-field sweeps are site updates,
-one step of one block of trials each, that a single schedule loop,
-_sweep, runs and counts.
+filtering rows and pmfs. Each mean-field sweep is a site update, which
+computes and stores one step of one block of trials, and a move test,
+which tells for a run of steps at once which trials' rows moved since
+it last saw them (a KS distance above xi, or a changed label). A single
+schedule loop, _sweep, runs and counts the updates, and runs the test
+only where the schedule needs its answer: at the end of each cycle and
+of each block of steps, and on the accelerated schedule wherever a
+forward wake could make the next step due for another trial.
 The scalar API in hmc and vb runs them with B=1. Labels are 0-based
 and ties resolve to the smallest index. A trial gets the same bits
 alone or in a block, with two exceptions. A BLAS matrix product may
@@ -371,21 +376,44 @@ def batch_kld_labels(T, p0, Psi, labels):
     return out
 
 
-def _sweep(update, B, n, max_cycles, accelerated, after_cycle=None):
+# Items in a block of the sweeps' move test: moves are tested, and the
+# rows they are tested against are kept, for the steps of one aligned
+# block at a time, of at most this many floats or labels (and at least
+# one step), so no (B, n, M) copy is held.
+_MOVE_ITEMS = 1 << 14
+
+
+def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None):
     """The mean-field schedule over site updates: (nu_c, nu_e, converged, tau).
 
-    update(i, rows, mask) stores step i's new rows for the due trials,
-    which rows selects (with the boolean mask, if not None), and returns
-    which of them moved. A lone due trial gets a one-row slice, so that
-    its step costs and rounds as a B=1 step does. tau, laid out (n + 2,
-    B) with one pad step at both ends, flags the steps due: a moved step
-    stays due, a quiet one goes to sleep. The accelerated schedule also
-    wakes a moved step's neighbours; the plain one re-wakes every step
-    of an unconverged trial at the end of each cycle. A moved step keeps
-    its flag to the end of the cycle, so a trial has converged once no
-    step is left due, and it keeps its rows from then on. after_cycle,
-    if given, is called at the end of each cycle with the mask of the
-    trials that ran in it. tau is returned without its pads, as (B, n).
+    update(i, rows, mask) computes and stores step i's new rows for the
+    due trials, which rows selects (with the boolean mask, if not None).
+    A lone due trial gets a one-row slice, so that its step costs and
+    rounds as a B=1 step does. moved(lo, hi) returns, as (hi - lo, B),
+    which trials' steps lo..hi-1 moved since the test last saw them; a
+    step that did not run has not moved. lo and hi - 1 always lie in one
+    block of span steps (b * span up to (b + 1) * span), so a sweep need
+    only keep the rows of one block to test against.
+
+    tau, laid out (n + 2, B) with one pad step at both ends, flags the
+    steps due: a moved step stays due, a quiet one goes to sleep. The
+    accelerated schedule also wakes a moved step's neighbours; the plain
+    one re-wakes every step of an unconverged trial at the end of each
+    cycle. So at the end of a cycle a step's flag is its own move, OR on
+    the accelerated schedule its right neighbour's, and a trial has
+    converged once no step is left due; it keeps its rows from then on.
+
+    Moves are tested for a run of steps at a time, not after every
+    update: at the end of each block and each cycle, and on the
+    accelerated schedule before step i + 1 whenever some trial that ran
+    step i is not yet due there, since the forward wake of step i could
+    add it. Otherwise step i + 1's due set is its flag at the start of
+    the cycle. Each test writes tau as a test after every update would:
+    the steps' own moves, the backward wakes and the forward wake of the
+    next step. The plain schedule's due set, the trials still running,
+    is fixed within a cycle. after_cycle, if given, is called at the end
+    of each cycle with the mask of the trials that ran in it. tau is
+    returned without its pads, as (B, n).
     """
     tau = np.ones((n + 2, B), dtype=bool)
     # each trial's update count, less the steps that updated every trial:
@@ -395,26 +423,69 @@ def _sweep(update, B, n, max_cycles, accelerated, after_cycle=None):
     full = 0
     nu_c = np.full(B, max_cycles, dtype=np.int64)
     converged = np.zeros(B, dtype=bool)
+    every = slice(None)
+
+    def flush(lo, hi):
+        m = moved(lo, hi)
+        tau[lo + 1:hi + 1] = m
+        if accelerated:
+            tau[lo:hi] |= m
+            tau[hi + 1] |= m[-1]
+
     for nu in range(1, max_cycles + 1):
-        for i in range(n):
-            t = tau[i + 1]
-            c = np.count_nonzero(t)
-            if c == 0:
-                continue
+        if accelerated:
+            # step i's due count, and whether some trial due there is not
+            # due at i + 1, as long as no test has woken step i
+            due = tau[1:-1]
+            count = np.count_nonzero(due, axis=1).tolist()
+            gap = np.any(due > tau[2:], axis=1).tolist()
+            lo = -1  # the first step run since the last test
+            woken = False
+            for i in range(n):
+                t = tau[i + 1]
+                if woken:
+                    c = np.count_nonzero(t)
+                    g = np.count_nonzero(t > tau[i + 2])
+                    woken = False
+                else:
+                    c, g = count[i], gap[i]
+                if c == 0:
+                    continue
+                if c == B:
+                    rows, mask = every, None
+                    full += 1
+                elif c == 1:
+                    j = int(t.argmax())
+                    rows, mask = slice(j, j + 1), None
+                    updates[j] += 1
+                else:
+                    rows, mask = every, t
+                    updates += t
+                update(i, rows, mask)
+                if lo < 0:
+                    lo = i
+                if g or (i + 1) % span == 0:
+                    flush(lo, i + 1)
+                    lo, woken = -1, g
+            if lo >= 0:
+                flush(lo, n)
+        else:
+            c = B - np.count_nonzero(converged)
             if c == B:
-                rows, mask = slice(None), None
-                full += 1
+                rows, mask = every, None
+                full += n
             elif c == 1:
-                j = int(t.argmax())
+                j = int(converged.argmin())
                 rows, mask = slice(j, j + 1), None
-                updates[j] += 1
+                updates[j] += n
             else:
-                rows, mask = slice(None), t
-                updates += t
-            hot = update(i, rows, mask)
-            tau[i + 1, rows] = hot
-            if accelerated and np.count_nonzero(hot):
-                tau[i:i + 3:2, rows] |= hot
+                rows, mask = every, ~converged
+                updates[mask] += n
+            for lo in range(0, n, span):
+                hi = min(lo + span, n)
+                for i in range(lo, hi):
+                    update(i, rows, mask)
+                flush(lo, hi)
         if after_cycle is not None:
             after_cycle(~converged)
         live = tau[1:-1].any(axis=0)
@@ -433,12 +504,12 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
 
     A step moves when its pmf moves more than xi in KS distance; a
     trial stops after the first cycle with no step moved (see _sweep).
-    logPsi is read, never written: the start prior enters step 0's
-    update, not the array. Returns (p, nu_c, nu_e, converged, tau,
-    kld): tau flags the steps still due, all False for a converged
-    trial. kld_rows, if given, is (T, alpha), the transition matrix and
-    the trials' filtering rows from batch_forward; kld[b] then lists
-    trial b's divergence after each of its nu_c[b] cycles.
+    The inputs are read, never written: init is copied, and the start
+    prior enters step 0's update, not logPsi. Returns (p, nu_c, nu_e,
+    converged, tau, kld): tau flags the steps still due, all False for a
+    converged trial. kld_rows, if given, is (T, alpha), the transition
+    matrix and the trials' filtering rows from batch_forward; kld[b]
+    then lists trial b's divergence after each of its nu_c[b] cycles.
     """
     B, n, M = logPsi.shape
     init = np.asarray(init, dtype=float)
@@ -457,10 +528,21 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
         contract = np.matmul
     p = np.array(init)
     thr = max(xi, KS_RESOLUTION)
-    flat = np.arange(0, B * M, M)[:, None]
+    span = max(1, _MOVE_ITEMS // (B * M))
+    flat = np.arange(0, B * min(n, span) * M, M)[:, None]
+    logTt = logT.T
+    # cum[:, j]: the cumulative pmfs of step b0 + j as the move test last
+    # saw them, for the block of span steps from b0 that the first update
+    # in it forms; a KS distance from them is the one from the rows an
+    # update replaced
+    b0, cum = -span, None
 
     def update(i, r, t):
-        s = logPsi[r, i] + contract(p[r, i - 1], logT.T) if i else logPsi[r, 0] + logp0
+        nonlocal b0, cum
+        if not b0 <= i < b0 + span:
+            b0 = i - i % span
+            cum = np.add.accumulate(p[:, b0:b0 + span], axis=2)
+        s = logPsi[r, i] + contract(p[r, i - 1], logTt) if i else logPsi[r, 0] + logp0
         if i + 1 < n:
             s += contract(p[r, i + 1], logT)
         # numerics.log_normalize's bits, with a plain np.exp: on a few
@@ -468,16 +550,24 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
         s -= _take_rows(s, s.argmax(axis=1, keepdims=True), flat)
         np.exp(s, out=s)
         s /= np.add.reduce(s, axis=1, keepdims=True)
-        d = np.abs(np.add.accumulate(s, axis=1) - np.add.accumulate(p[r, i], axis=1))
-        ks = _take_rows(d, d.argmax(axis=1, keepdims=True), flat)[:, 0]
-        store = ks > KS_RESOLUTION if exact else t
-        if exact and t is not None:
-            store &= t
+        store = t
+        if exact:
+            d = np.abs(np.add.accumulate(s, axis=1) - cum[r, i - b0])
+            store = _take_rows(d, d.argmax(axis=1, keepdims=True), flat)[:, 0] > KS_RESOLUTION
+            if t is not None:
+                store &= t
         if store is None:
             p[r, i] = s
         else:
             np.copyto(p[r, i], s, where=store[:, None])
-        return ks > thr if t is None else t & (ks > thr)
+
+    def moved(lo, hi):
+        d = np.add.accumulate(p[:, lo:hi], axis=2)
+        d -= cum[:, lo - b0:hi - b0]
+        d = np.abs(d, out=d).reshape(-1, M)
+        ks = _take_rows(d, d.argmax(axis=1, keepdims=True), flat)
+        np.add.accumulate(p[:, lo:hi], axis=2, out=cum[:, lo - b0:hi - b0])
+        return (ks.reshape(B, hi - lo) > thr).T
 
     after_cycle = None
     if kld_rows is not None:
@@ -488,7 +578,7 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
             for b in ran.nonzero()[0]:
                 kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
 
-    counts = _sweep(update, B, n, max_cycles, accelerated, after_cycle)
+    counts = _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle)
     return (p,) + counts + (None if kld_rows is None else kld,)
 
 
@@ -501,8 +591,8 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
     """
     B, n, M = logPsi.shape
     k = np.asarray(init_labels, dtype=np.int64)
-    if k.shape != (B, n):
-        raise ValueError("init_labels must be B x n")
+    if k.shape != (B, n) or k.min() < 0 or k.max() >= M:
+        raise ValueError("init_labels must be B x n states in [0, M)")
     # Label M stands for the chain's ends: as the previous label it
     # selects the start prior, as the next label a zero row.
     nxt = np.zeros((M + 1, M))
@@ -512,18 +602,29 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
     prv[M] = logp0
     K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
     K[1:-1] = k.T
+    span = max(1, _MOVE_ITEMS // B)
+    b0, seen = -span, None  # seen[j]: the labels of step b0 + j as last tested
 
     def update(i, r, t):
+        nonlocal b0, seen
+        if not b0 <= i < b0 + span:
+            b0 = i - i % span
+            seen = K[b0 + 1:b0 + span + 1].copy()
         s = nxt[K[i + 2, r]] + prv[K[i, r]]
         s += logPsi[r, i]
-        new = s.argmax(axis=1)
-        moved = new != K[i + 1, r]
-        if t is not None:
-            moved &= t
-        np.copyto(K[i + 1, r], new, where=moved)
-        return moved
+        if t is None:
+            K[i + 1, r] = s.argmax(axis=1)
+        else:
+            np.copyto(K[i + 1, r], s.argmax(axis=1), where=t)
 
-    counts = _sweep(update, B, n, max_cycles, accelerated)
+    def moved(lo, hi):
+        now = K[lo + 1:hi + 1]
+        was = seen[lo - b0:hi - b0]
+        m = now != was
+        was[...] = now
+        return m
+
+    counts = _sweep(update, moved, B, n, span, max_cycles, accelerated)
     return (K[1:-1].T.copy(),) + counts
 
 

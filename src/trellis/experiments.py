@@ -142,9 +142,9 @@ def _run_hmc_chunk(spec, t0, t1):
         elif method == "va":
             est = batch_viterbi(*logs)
         elif method in ("vb", "vb-acc"):
-            # the start pmfs live only as long as the sweep, which copies them
+            # the uniform start pmfs are a broadcast view: the sweep copies them
             phat, nu_c, nu_e, _, _, _ = marginal_sweep(
-                *logs, np.full((B, n, Mt), 1.0 / Mt), xi=spec.xi,
+                *logs, np.broadcast_to(1.0 / Mt, (B, n, Mt)), xi=spec.xi,
                 max_cycles=spec.max_cycles, accelerated=method.endswith("acc"))
             est = np.argmax(phat, axis=2)
         else:

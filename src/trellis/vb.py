@@ -3,15 +3,17 @@
 Two mean-field schemes over the label chain: independent marginal
 updates (ivb_run, distributions per time step) and the functionally
 constrained point-mass variant (fcvb_run, hard labels per time step).
-Each scheme is a site update, and one schedule loop in trellis.batch
-runs both over i = 1..n repeatedly, skipping a step until a neighbour
-moves; the plain sweep re-wakes every step of an unconverged trial
-after each cycle, the accelerated one does not. A run stops once no
-step is left due, and tau flags the steps still due. Cycle counts:
+Each scheme is a site update and a move test, and one schedule loop in
+trellis.batch runs both over i = 1..n repeatedly, skipping a step until
+a neighbour moves; the plain sweep re-wakes every step of an
+unconverged trial after each cycle, the accelerated one does not. The
+loop tests the moves of a run of steps at once, where the schedule
+needs them, rather than after every update. A run stops once no step
+is left due, and tau flags the steps still due. Cycle counts:
 nu_c counts full sweeps, nu_e is total single-step updates divided by
 n. The divergence trace is recorded by the same loop at the end of
-each cycle. kld_vb, from the posterior's chain factors, is the
-reference for the batch divergence.
+each cycle. kld_vb, from the posterior's chain factors (their logs
+taken in one call), is the reference for the batch divergence.
 """
 
 from collections import namedtuple
@@ -66,9 +68,10 @@ def kld_vb(model, smoothing, chain, p):
         raise ValueError("p must be n x M")
     ent = float(np.sum(p * safe_log(p)))
     cross = float(np.sum(p[n - 1] * safe_log(smoothing.alpha[n - 1])))
-    for i in range(n - 1):
-        logA = safe_log(chain.A[i])
-        cross += float(p[i + 1] @ logA @ p[i])
+    if n > 1:
+        logA = safe_log(np.stack(chain.A))  # elementwise: each factor's own bits
+        for i in range(n - 1):
+            cross += float(p[i + 1] @ logA[i] @ p[i])
     return ent - cross
 
 

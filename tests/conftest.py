@@ -1,5 +1,6 @@
 import numpy as np
 
+from trellis.batch import KS_RESOLUTION, _take_rows, batch_kld
 from trellis.factors import Factor, FactorModel, VariableSpace
 from trellis.hmc import HmcModel
 from trellis.numerics import safe_log, simpson_2d
@@ -160,3 +161,118 @@ def assert_same_arrays(got, want):
     for g, w in zip(got, want):
         assert (g.shape, g.dtype) == (w.shape, w.dtype)
         assert g.tobytes() == w.tobytes()
+
+
+def stepwise_sweep(update, B, n, max_cycles, accelerated, after_cycle=None):
+    """The mean-field schedule with every site update tested as it runs:
+    update(i, rows, mask) stores step i's rows and returns which moved.
+    The reference the batched move test of batch._sweep must equal bit
+    for bit, with stepwise_marginal_sweep and stepwise_point_mass_sweep."""
+    tau = np.ones((n + 2, B), dtype=bool)
+    updates = np.zeros(B, dtype=np.int64)
+    full = 0
+    nu_c = np.full(B, max_cycles, dtype=np.int64)
+    converged = np.zeros(B, dtype=bool)
+    for nu in range(1, max_cycles + 1):
+        for i in range(n):
+            t = tau[i + 1]
+            c = np.count_nonzero(t)
+            if c == 0:
+                continue
+            if c == B:
+                rows, mask = slice(None), None
+                full += 1
+            elif c == 1:
+                j = int(t.argmax())
+                rows, mask = slice(j, j + 1), None
+                updates[j] += 1
+            else:
+                rows, mask = slice(None), t
+                updates += t
+            hot = update(i, rows, mask)
+            tau[i + 1, rows] = hot
+            if accelerated and np.count_nonzero(hot):
+                tau[i:i + 3:2, rows] |= hot
+        if after_cycle is not None:
+            after_cycle(~converged)
+        live = tau[1:-1].any(axis=0)
+        nu_c[~live & ~converged] = nu
+        converged = ~live
+        if not live.any():
+            break
+        if not accelerated:
+            tau[1:-1] |= live
+    return nu_c, (updates + full) / n, converged, tau[1:-1].T
+
+
+def stepwise_marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100,
+                            accelerated=False, kld_rows=None):
+    """batch.marginal_sweep with its KS test inside the site update."""
+    B, n, M = logPsi.shape
+    init = np.asarray(init, dtype=float)
+    exact = xi < KS_RESOLUTION
+    if exact:
+        def contract(v, A):
+            return np.einsum("bk,kj->bj", v, A)
+    else:
+        contract = np.matmul
+    p = np.array(init)
+    thr = max(xi, KS_RESOLUTION)
+    flat = np.arange(0, B * M, M)[:, None]
+
+    def update(i, r, t):
+        s = logPsi[r, i] + contract(p[r, i - 1], logT.T) if i else logPsi[r, 0] + logp0
+        if i + 1 < n:
+            s += contract(p[r, i + 1], logT)
+        s -= _take_rows(s, s.argmax(axis=1, keepdims=True), flat)
+        np.exp(s, out=s)
+        s /= np.add.reduce(s, axis=1, keepdims=True)
+        d = np.abs(np.add.accumulate(s, axis=1) - np.add.accumulate(p[r, i], axis=1))
+        ks = _take_rows(d, d.argmax(axis=1, keepdims=True), flat)[:, 0]
+        store = ks > KS_RESOLUTION if exact else t
+        if exact and t is not None:
+            store &= t
+        if store is None:
+            p[r, i] = s
+        else:
+            np.copyto(p[r, i], s, where=store[:, None])
+        return ks > thr if t is None else t & (ks > thr)
+
+    after_cycle = None
+    if kld_rows is not None:
+        T, alpha = kld_rows
+        kld = [[] for _ in range(B)]
+
+        def after_cycle(ran):
+            for b in ran.nonzero()[0]:
+                kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
+
+    counts = stepwise_sweep(update, B, n, max_cycles, accelerated, after_cycle)
+    return (p,) + counts + (None if kld_rows is None else kld,)
+
+
+def stepwise_point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100,
+                              accelerated=False):
+    """batch.point_mass_sweep with its label test inside the site update."""
+    B, n, M = logPsi.shape
+    k = np.asarray(init_labels, dtype=np.int64)
+    nxt = np.zeros((M + 1, M))
+    nxt[:M] = logT
+    prv = np.empty((M + 1, M))
+    prv[:M] = logT.T
+    prv[M] = logp0
+    K = np.full((n + 2, B), M, dtype=np.int64)
+    K[1:-1] = k.T
+
+    def update(i, r, t):
+        s = nxt[K[i + 2, r]] + prv[K[i, r]]
+        s += logPsi[r, i]
+        new = s.argmax(axis=1)
+        moved = new != K[i + 1, r]
+        if t is not None:
+            moved &= t
+        np.copyto(K[i + 1, r], new, where=moved)
+        return moved
+
+    counts = stepwise_sweep(update, B, n, max_cycles, accelerated)
+    return (K[1:-1].T.copy(),) + counts

@@ -12,6 +12,7 @@ from trellis.hmc import (
     ml_detect,
     posterior_chain_factors,
 )
+from trellis.numerics import safe_log
 from trellis.vb import (
     StoppingConfig,
     fcvb_run,
@@ -128,6 +129,26 @@ def test_kld_matches_exhaustive():
         f = brute_force_posterior(model).table
         expect = float(np.sum(q * (np.log(q) - np.log(f))))
         assert_allclose(got, expect, atol=1e-9)
+
+
+def test_kld_equals_the_per_step_log_loop():
+    # the factors' logs are taken in one call; the terms must keep the
+    # bits of one safe_log per factor, zero entries included
+    rng = np.random.default_rng(208)
+    for _ in range(40):
+        M, n = int(rng.integers(2, 5)), int(rng.integers(1, 9))
+        T = rng.random((M, M)) * (rng.random((M, M)) < 0.6) + np.eye(M)
+        model = HmcModel(T / T.sum(axis=0), np.full(M, 1.0 / M), rng.random((n, M)) + 1e-3)
+        p = rng.random((n, M)) * (rng.random((n, M)) < 0.7)
+        p[:, 0] += 1e-3
+        p /= p.sum(axis=1, keepdims=True)
+        sm, chain = _kld_pieces(model)
+        want = float(np.sum(p * safe_log(p)))
+        cross = float(np.sum(p[-1] * safe_log(sm.alpha[-1])))
+        for i in range(model.n - 1):
+            cross += float(p[i + 1] @ safe_log(chain.A[i]) @ p[i])
+        want -= cross
+        assert kld_vb(model, sm, chain, p) == want
 
 
 def test_kld_one_hot_is_negative_log_posterior():
