@@ -411,7 +411,8 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None)
     the cycle. Each test writes tau as a test after every update would:
     the steps' own moves, the backward wakes and the forward wake of the
     next step. The plain schedule's due set, the trials still running,
-    is fixed within a cycle. after_cycle, if given, is called at the end
+    is fixed within a cycle, so it tests at block and cycle ends only.
+    after_cycle, if given, is called at the end
     of each cycle with the mask of the trials that ran in it. tau is
     returned without its pads, as (B, n).
     """
@@ -433,17 +434,19 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None)
             tau[hi + 1] |= m[-1]
 
     for nu in range(1, max_cycles + 1):
-        if accelerated:
-            # step i's due count, and whether some trial due there is not
-            # due at i + 1, as long as no test has woken step i
-            due = tau[1:-1]
-            count = np.count_nonzero(due, axis=1).tolist()
-            gap = np.any(due > tau[2:], axis=1).tolist()
-            lo = -1  # the first step run since the last test
-            woken = False
-            for i in range(n):
-                t = tau[i + 1]
+        # step i's due count, and whether some trial due there is not due
+        # at i + 1, as long as no test has woken step i; on the plain
+        # schedule every step's due set is the trials still running, so
+        # there is no such trial and no test inside a block
+        due = tau[1:-1]
+        count = due.sum(axis=1).tolist()
+        gap = (due > tau[2:]).any(axis=1).tolist()
+        lo = -1  # the first step run since the last test
+        woken = False
+        for b in range(0, n, span):
+            for i in range(b, min(b + span, n)):
                 if woken:
+                    t = tau[i + 1]
                     c = np.count_nonzero(t)
                     g = np.count_nonzero(t > tau[i + 2])
                     woken = False
@@ -454,38 +457,26 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None)
                 if c == B:
                     rows, mask = every, None
                     full += 1
-                elif c == 1:
-                    j = int(t.argmax())
-                    rows, mask = slice(j, j + 1), None
-                    updates[j] += 1
                 else:
-                    rows, mask = every, t
-                    updates += t
+                    t = tau[i + 1]
+                    if c == 1:
+                        j = int(t.argmax())
+                        rows, mask = slice(j, j + 1), None
+                        updates[j] += 1
+                    else:
+                        rows, mask = every, t
+                        updates += t
                 update(i, rows, mask)
                 if lo < 0:
                     lo = i
-                if g or (i + 1) % span == 0:
+                if g:
                     flush(lo, i + 1)
-                    lo, woken = -1, g
+                    lo, woken = -1, True
+            # a step that ran is followed by a due step or a test, so a
+            # run still open here ends at the end of the block
             if lo >= 0:
-                flush(lo, n)
-        else:
-            c = B - np.count_nonzero(converged)
-            if c == B:
-                rows, mask = every, None
-                full += n
-            elif c == 1:
-                j = int(converged.argmin())
-                rows, mask = slice(j, j + 1), None
-                updates[j] += n
-            else:
-                rows, mask = every, ~converged
-                updates[mask] += n
-            for lo in range(0, n, span):
-                hi = min(lo + span, n)
-                for i in range(lo, hi):
-                    update(i, rows, mask)
-                flush(lo, hi)
+                flush(lo, min(b + span, n))
+                lo = -1
         if after_cycle is not None:
             after_cycle(~converged)
         live = tau[1:-1].any(axis=0)
@@ -562,11 +553,12 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
             np.copyto(p[r, i], s, where=store[:, None])
 
     def moved(lo, hi):
-        d = np.add.accumulate(p[:, lo:hi], axis=2)
-        d -= cum[:, lo - b0:hi - b0]
+        now = np.add.accumulate(p[:, lo:hi], axis=2)
+        was = cum[:, lo - b0:hi - b0]
+        d = np.subtract(now, was)
         d = np.abs(d, out=d).reshape(-1, M)
         ks = _take_rows(d, d.argmax(axis=1, keepdims=True), flat)
-        np.add.accumulate(p[:, lo:hi], axis=2, out=cum[:, lo - b0:hi - b0])
+        was[...] = now
         return (ks.reshape(B, hi - lo) > thr).T
 
     after_cycle = None
