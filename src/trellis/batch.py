@@ -16,14 +16,21 @@ schedule loop, _sweep, runs and counts the updates, and runs the test
 only where the schedule needs its answer: at the end of each cycle and
 of each block of steps, and on the accelerated schedule wherever a
 forward wake could make the next step due for another trial.
-The scalar API in hmc and vb runs them with B=1. Labels are 0-based
-and ties resolve to the smallest index. A trial gets the same bits
-alone or in a block, with two exceptions. A BLAS matrix product may
-round a row differently with a different number of rows: in the
+The loop can also run only the cycles the plain and accelerated
+schedules share, and either schedule can continue from the SweepFork
+that leaves (see _sweep), so a caller running both runs those cycles
+once. The scalar API in hmc and vb runs them with B=1. Labels are
+0-based and ties resolve to the smallest index. A trial gets the same
+bits alone or in a block, with three exceptions. A BLAS matrix product
+may round a row differently with a different number of rows: in the
 sum-product pass, in the marginal sweep at xi >= KS_RESOLUTION and in
-batch_kld's per-step predictive product. And on two states, numpy's
+batch_kld's per-step predictive product. On two states, numpy's
 three-operand einsum in batch_kld (bk,kl,bl->b) orders its sum by the
-block's shape. So the marginal sweep's per-cycle divergence trace,
+block's shape. And batch_kld's entropy einsum (bik,bik->b) on a
+one-trial block sums along another path once n * M passes numpy's
+8192-element buffer (at n * M of 8196 to 8400, the terms of 1 to 5 of
+6 random trials alone differed from theirs in the block; at 8160 and
+8192, none did). So the marginal sweep's per-cycle divergence trace,
 which calls batch_kld on one row at a time, can differ in the last
 bits from a batch_kld call on the whole block.
 
@@ -43,6 +50,8 @@ minima (the sweep's shift and KS distance, Viterbi's shift) come from
 argmax/argmin and one flat take (_take_rows): the same values as the
 short-axis reductions, at less cost.
 """
+
+from collections import namedtuple
 
 import numpy as np
 
@@ -245,7 +254,8 @@ def viterbi_trace(logT, logp0, logPsi):
     """
     B, n, M = logPsi.shape
     lam = -(logPsi[:, 0] + logp0)
-    kappa = np.zeros((B, n, M), dtype=np.int32)
+    # back-pointers in the narrowest type that holds a state: uint8 up to 256
+    kappa = np.zeros((B, n, M), dtype=np.min_scalar_type(M - 1))
     base = np.arange(0, B * M * M, M).reshape(B, M)
     flat = np.arange(0, B * M, M)[:, None]
     prune = M >= _PRUNE_MIN_STATES and n > 2
@@ -326,7 +336,7 @@ def batch_kld(T, alpha, p):
     return out
 
 
-def batch_kld_labels(T, p0, Psi, labels):
+def batch_kld_labels(T, p0, Psi, labels, alpha=None):
     """Minus the log posterior of each trial's label path, from its own forward pass.
 
     Equals batch_kld of batch_forward's rows and one-hot rows at the
@@ -335,12 +345,14 @@ def batch_kld_labels(T, p0, Psi, labels):
     forward recursion runs here, as batch_forward's steps, and reads two
     entries per step: the predictive entry (T alpha[i-1])[l_i] from the
     product the step forms anyway, and the filtered entry alpha[i][l_i].
-    No (B, n, M) array is formed. The entries' logs are added in
-    batch_kld's order, one np.add.accumulate per block of _KLD_STEPS
-    steps. A degenerate trial raises DegenerateObservation, as
-    batch_forward does.
+    No (B, n, M) array is formed. Given alpha, batch_forward's rows, it
+    reads the filtered entries from them and forms each predictive
+    product as batch_forward did, and does not read Psi. The entries'
+    logs are added in batch_kld's order, one np.add.accumulate per block
+    of _KLD_STEPS steps. A degenerate trial raises
+    DegenerateObservation, as batch_forward does.
     """
-    B, n, M = Psi.shape
+    B, n, M = (Psi if alpha is None else alpha).shape
     labels = np.asarray(labels, dtype=np.int64)
     if labels.shape != (B, n) or labels.min() < 0 or labels.max() >= M:
         raise ValueError("labels must be B x n states in [0, M)")
@@ -349,19 +361,26 @@ def batch_kld_labels(T, p0, Psi, labels):
     filt = np.empty((n, B))
     pred = np.empty((n, B))  # pred[0] is not used
     Tt = T.T
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = Psi[:, 0] * p0
-        a /= np.add.reduce(a, axis=1, keepdims=True)
-        a.take(at[0], out=filt[0], mode="clip")
+    if alpha is not None:
+        # the same entries' offsets in alpha
+        alpha.take(at + np.arange(0, n * M, M)[:, None] + (n - 1) * M * np.arange(B),
+                   out=filt, mode="clip")
         for i in range(1, n):
-            a = np.matmul(a, Tt)
-            a.take(at[i], out=pred[i], mode="clip")
-            a *= Psi[:, i]
+            np.matmul(alpha[:, i - 1], Tt).take(at[i], out=pred[i], mode="clip")
+    else:
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = Psi[:, 0] * p0
             a /= np.add.reduce(a, axis=1, keepdims=True)
-            a.take(at[i], out=filt[i], mode="clip")
-    # a NaN row makes every later row NaN, so the last row shows the
-    # trials whose rows batch_forward finds NaN
-    _check_trials(a[:, None])
+            a.take(at[0], out=filt[0], mode="clip")
+            for i in range(1, n):
+                a = np.matmul(a, Tt)
+                a.take(at[i], out=pred[i], mode="clip")
+                a *= Psi[:, i]
+                a /= np.add.reduce(a, axis=1, keepdims=True)
+                a.take(at[i], out=filt[i], mode="clip")
+        # a NaN row makes every later row NaN, so the last row shows the
+        # trials whose rows batch_forward finds NaN
+        _check_trials(a[:, None])
     logT = safe_log(T)
     lab = labels.T
     out = np.subtract(0.0, safe_log(filt[n - 1]))  # a point mass has no entropy
@@ -383,8 +402,28 @@ def batch_kld_labels(T, p0, Psi, labels):
 _MOVE_ITEMS = 1 << 14
 
 
-def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None):
-    """The mean-field schedule over site updates: (nu_c, nu_e, converged, tau).
+class SweepFork(namedtuple("SweepFork", "rows tau cycles nu_c converged updates full")):
+    """A sweep's state at the end of the cycles both schedules share.
+
+    rows is the sweep's working array: the pmfs p (B, n, M), or the
+    labels with their end pads, (n + 2, B). tau (n + 2, B) holds the
+    accelerated schedule's flags with their pads, cycles the cycles run,
+    nu_c and converged as the sweeps return them, and updates (B,) and
+    full the integer update counts (see _sweep). A sweep continues a
+    fork in place; copy() keeps it for another continuation.
+    """
+
+    __slots__ = ()
+
+    def copy(self):
+        return SweepFork(*(a.copy() if isinstance(a, np.ndarray) else a for a in self))
+
+
+def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None, fork=None):
+    """The mean-field schedule over site updates.
+
+    Returns the schedule's state, SweepFork's fields after rows: (tau,
+    cycles, nu_c, converged, updates, full).
 
     update(i, rows, mask) computes and stores step i's new rows for the
     due trials, which rows selects (with the boolean mask, if not None).
@@ -393,7 +432,9 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None)
     which trials' steps lo..hi-1 moved since the test last saw them; a
     step that did not run has not moved. lo and hi - 1 always lie in one
     block of span steps (b * span up to (b + 1) * span), so a sweep need
-    only keep the rows of one block to test against.
+    only keep the rows of one block to test against, and formed afresh
+    from the rows at the start of a call, that block state is the one
+    a longer call would hold there.
 
     tau, laid out (n + 2, B) with one pad step at both ends, flags the
     steps due: a moved step stays due, a quiet one goes to sleep. The
@@ -412,28 +453,49 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None)
     the steps' own moves, the backward wakes and the forward wake of the
     next step. The plain schedule's due set, the trials still running,
     is fixed within a cycle, so it tests at block and cycle ends only.
-    after_cycle, if given, is called at the end
-    of each cycle with the mask of the trials that ran in it. tau is
-    returned without its pads, as (B, n).
+
+    The two schedules coincide in every cycle at whose start each step
+    of each unconverged trial is due on the accelerated one: that is the
+    plain due set, so both run the same updates with the same rows and
+    masks and the same tests, and the plain re-wake at the end of the
+    cycle before changes nothing. accelerated=None runs these shared
+    cycles, with the accelerated flags, and stops at the end of the
+    first cycle after which they leave some step of an unconverged trial
+    asleep, at max_cycles or once every trial has converged. A call
+    given the returned state as fork continues from it under either
+    schedule, in place; the plain schedule first re-wakes the
+    unconverged trials, as it would have at the end of that cycle. The
+    counts stay integers across the two calls, so a continuation returns
+    the bits of one call that ran the whole schedule. after_cycle, if
+    given, is called at the end of each cycle the call runs with the
+    mask of the trials that ran in it.
     """
-    tau = np.ones((n + 2, B), dtype=bool)
-    # each trial's update count, less the steps that updated every trial:
-    # those go to the scalar `full`, as adding a mask at every step cost
-    # about a tenth of the point-mass sweep's time on one-trial blocks
-    updates = np.zeros(B, dtype=np.int64)
-    full = 0
-    nu_c = np.full(B, max_cycles, dtype=np.int64)
-    converged = np.zeros(B, dtype=bool)
+    if fork is None:
+        tau = np.ones((n + 2, B), dtype=bool)
+        # each trial's update count, less the steps that updated every
+        # trial: those go to the scalar `full`, as adding a mask at every
+        # step cost about a tenth of the point-mass sweep's time on
+        # one-trial blocks
+        updates = np.zeros(B, dtype=np.int64)
+        full = cycles = 0
+        nu_c = np.full(B, max_cycles, dtype=np.int64)
+        converged = np.zeros(B, dtype=bool)
+    else:
+        _, tau, cycles, nu_c, converged, updates, full = fork
+        if accelerated is False:
+            tau[1:-1] |= ~converged
+    wake = accelerated is not False
     every = slice(None)
 
     def flush(lo, hi):
         m = moved(lo, hi)
         tau[lo + 1:hi + 1] = m
-        if accelerated:
+        if wake:
             tau[lo:hi] |= m
             tau[hi + 1] |= m[-1]
 
-    for nu in range(1, max_cycles + 1):
+    while cycles < max_cycles and not converged.all():
+        cycles += 1
         # step i's due count, and whether some trial due there is not due
         # at i + 1, as long as no test has woken step i; on the plain
         # schedule every step's due set is the trials still running, so
@@ -480,12 +542,20 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None)
         if after_cycle is not None:
             after_cycle(~converged)
         live = tau[1:-1].any(axis=0)
-        nu_c[~live & ~converged] = nu
+        nu_c[~live & ~converged] = cycles
         converged = ~live
-        if not live.any():
-            break
-        if not accelerated:
+        if accelerated is None:
+            if not (tau[1:-1] | converged).all():
+                break  # the schedules part
+        elif not accelerated:
             tau[1:-1] |= live
+    return tau, cycles, nu_c, converged, updates, full
+
+
+def _counts(state, n):
+    """(nu_c, nu_e, converged, tau) of a finished schedule, tau without
+    its pads as (B, n)."""
+    tau, _, nu_c, converged, updates, full = state
     return nu_c, (updates + full) / n, converged, tau[1:-1].T
 
 
@@ -500,12 +570,21 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
     converged, tau, kld): tau flags the steps still due, all False for a
     converged trial. kld_rows, if given, is (T, alpha), the transition
     matrix and the trials' filtering rows from batch_forward; kld[b]
-    then lists trial b's divergence after each of its nu_c[b] cycles.
+    then lists trial b's divergence after each cycle of this call that
+    trial b ran.
+
+    accelerated=None runs only the cycles the plain and the accelerated
+    schedule share and returns their SweepFork alone (see _sweep). init
+    may be such a fork, from a call on the same inputs, xi and
+    max_cycles; the sweep then continues it in place under the schedule
+    asked for and returns what one call from the start would.
     """
     B, n, M = logPsi.shape
-    init = np.asarray(init, dtype=float)
-    if init.shape != (B, n, M):
-        raise ValueError("init must be B x n x M")
+    fork = init if isinstance(init, SweepFork) else None
+    if fork is None:
+        init = np.asarray(init, dtype=float)
+        if init.shape != (B, n, M):
+            raise ValueError("init must be B x n x M")
     # xi below the resolution asks for an exact fixed point, with the
     # same bits alone or in a block: moves within the resolution are not
     # stored, and products are per-row dots. Coarser thresholds store
@@ -517,7 +596,7 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
             return np.einsum("bk,kj->bj", v, A)
     else:
         contract = np.matmul
-    p = np.array(init)
+    p = np.array(init) if fork is None else fork.rows
     thr = max(xi, KS_RESOLUTION)
     span = max(1, _MOVE_ITEMS // (B * M))
     flat = np.arange(0, B * min(n, span) * M, M)[:, None]
@@ -570,8 +649,10 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
             for b in ran.nonzero()[0]:
                 kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
 
-    counts = _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle)
-    return (p,) + counts + (None if kld_rows is None else kld,)
+    state = _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle, fork)
+    if accelerated is None:
+        return SweepFork(p, *state)
+    return (p,) + _counts(state, n) + (None if kld_rows is None else kld,)
 
 
 def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerated=False):
@@ -579,12 +660,16 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
 
     A step moves when its label changes; a trial stops after the first
     change-free cycle, which nu_c counts (see _sweep). Returns (labels,
-    nu_c, nu_e, converged, tau), tau as marginal_sweep's.
+    nu_c, nu_e, converged, tau), tau as marginal_sweep's. As there,
+    accelerated=None returns the SweepFork of the shared cycles, and
+    init_labels may be such a fork to continue.
     """
     B, n, M = logPsi.shape
-    k = np.asarray(init_labels, dtype=np.int64)
-    if k.shape != (B, n) or k.min() < 0 or k.max() >= M:
-        raise ValueError("init_labels must be B x n states in [0, M)")
+    fork = init_labels if isinstance(init_labels, SweepFork) else None
+    if fork is None:
+        k = np.asarray(init_labels, dtype=np.int64)
+        if k.shape != (B, n) or k.min() < 0 or k.max() >= M:
+            raise ValueError("init_labels must be B x n states in [0, M)")
     # Label M stands for the chain's ends: as the previous label it
     # selects the start prior, as the next label a zero row.
     nxt = np.zeros((M + 1, M))
@@ -592,8 +677,11 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
     prv = np.empty((M + 1, M))
     prv[:M] = logT.T
     prv[M] = logp0
-    K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
-    K[1:-1] = k.T
+    if fork is None:
+        K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
+        K[1:-1] = k.T
+    else:
+        K = fork.rows
     span = max(1, _MOVE_ITEMS // B)
     b0, seen = -span, None  # seen[j]: the labels of step b0 + j as last tested
 
@@ -616,8 +704,10 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
         was[...] = now
         return m
 
-    counts = _sweep(update, moved, B, n, span, max_cycles, accelerated)
-    return (K[1:-1].T.copy(),) + counts
+    state = _sweep(update, moved, B, n, span, max_cycles, accelerated, fork=fork)
+    if accelerated is None:
+        return SweepFork(K, *state)
+    return (K[1:-1].T.copy(),) + _counts(state, n)
 
 
 def batch_ivb(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False):

@@ -11,8 +11,15 @@ trial range [t0, t1), serially or on a pool of at most as many workers
 as there are chunks and CPUs, and returns the partial results in trial
 order. A symbol-detection chunk forms what its methods share once: the
 likelihoods, their logs (va and both sweeps), the ML labels (ml and the
-point-mass sweeps' start) and, for the marginal divergence only, the
-filtering rows; the point-mass divergence runs its own forward pass.
+point-mass sweeps' start), the filtering rows (fb and both divergences;
+without them the point-mass divergence runs its own forward pass) and,
+when both schedules of a sweep run, the cycles they share: the first of
+the pair runs them, and each schedule continues from the fork they
+leave (see batch._sweep), with the bits and counts of a run alone. Both
+methods' wall times include the shared cycles, as each would run them
+alone. The likelihood is dropped once fb and the first uses of the
+other shared arrays have run, and each method's estimate and divergence
+are formed, and its rows dropped, before the next method runs.
 
 Determinism contract: every trial owns a counter-based generator keyed
 by master_seed XOR trial_index, with a fixed draw order per scenario
@@ -26,6 +33,7 @@ bits of kld_mean can move with the chunk size; its other columns, bar
 wall_ms, come from integer counts and do not.
 """
 
+import functools
 import os
 import sys
 import time
@@ -124,11 +132,16 @@ def _run_hmc_chunk(spec, t0, t1):
     # Formed at most once per chunk, the first time a method needs them:
     # the ML labels (ml and the point-mass sweeps' start), the safe_log
     # of the model and the likelihood (va and both sweeps) and the
-    # filtering rows (fb and the marginal divergence). The logs are
-    # formed outside every method's timer.
+    # filtering rows (fb and both divergences). The logs are formed
+    # outside every method's timer.
     ml = logs = alpha = None
+    # a sweep whose two schedules both run: its shared cycles' fork and
+    # their time, from the first of the pair to run until the second
+    pairs = {kind for kind in ("vb", "fcvb") if kind + "-acc" in spec.methods
+             and kind in spec.methods}
+    forks = {}
     out = {}
-    for method in spec.methods:
+    for k, method in enumerate(spec.methods):
         if logs is None and method not in ("ml", "fb"):
             logs = (safe_log(T), safe_log(p), safe_log(Psi))
         acc = {"bit_err": 0, "nu_c": 0.0, "nu_e": 0.0, "kld": 0.0, "wall": 0.0}
@@ -138,33 +151,53 @@ def _run_hmc_chunk(spec, t0, t1):
         if method == "ml":
             est = ml
         elif method == "fb":
-            alpha, _, est = batch_fb(T, p, Psi)
+            alpha, est = batch_fb(T, p, Psi)[::2]  # the smoothing rows are not kept
         elif method == "va":
             est = batch_viterbi(*logs)
-        elif method in ("vb", "vb-acc"):
-            # the uniform start pmfs are a broadcast view: the sweep copies them
-            phat, nu_c, nu_e, _, _, _ = marginal_sweep(
-                *logs, np.broadcast_to(1.0 / Mt, (B, n, Mt)), xi=spec.xi,
-                max_cycles=spec.max_cycles, accelerated=method.endswith("acc"))
-            est = np.argmax(phat, axis=2)
         else:
-            est, nu_c, nu_e, _, _ = point_mass_sweep(
-                *logs, ml, max_cycles=spec.max_cycles, accelerated=method.endswith("acc"))
-        acc["wall"] = time.perf_counter() - tic
+            kind = method.split("-")[0]
+            if kind == "vb":
+                # the uniform start pmfs are a broadcast view: the sweep copies them
+                sweep = functools.partial(marginal_sweep, *logs, xi=spec.xi,
+                                          max_cycles=spec.max_cycles)
+                start = np.broadcast_to(1.0 / Mt, (B, n, Mt))
+            else:
+                sweep = functools.partial(point_mass_sweep, *logs, max_cycles=spec.max_cycles)
+                start = ml
+            if kind in pairs:
+                if kind not in forks:
+                    t = time.perf_counter()
+                    start = sweep(start, accelerated=None)
+                    forks[kind] = start, time.perf_counter() - t
+                    start = start.copy()
+                else:
+                    # the second of the pair continues the fork itself and
+                    # is charged its cycles, which it would run alone
+                    start, acc["wall"] = forks.pop(kind)
+            res = sweep(start, accelerated=method.endswith("acc"))
+            start = None  # frees a point-mass fork: its result copies the labels
+            nu_c, nu_e = res[1], res[2]
+            est = res[0] if kind == "fcvb" else np.argmax(res[0], axis=2)
+        acc["wall"] += time.perf_counter() - tic
         if method in MEAN_FIELD_METHODS:
             acc["nu_c"] = float(nu_c.sum())
             acc["nu_e"] = float(nu_e.sum())
-            if method.startswith("vb"):
+            if kind == "vb":
                 if alpha is None:
                     alpha = batch_forward(T, p, Psi)
-                kld = batch_kld(T, alpha, phat)
+                kld = batch_kld(T, alpha, res[0])
             else:
-                kld = batch_kld_labels(T, p, Psi, est)
+                kld = batch_kld_labels(T, p, Psi, est, alpha)
             acc["kld"] = float(kld.sum())
         est_src = est % spec.M_src if spec.fading else est
         acc["bit_err"] = int(spec.bit_distance[src, est_src].sum())
         out[method] = acc
-        est = est_src = phat = None  # freed before the next method runs
+        est = est_src = res = None  # freed before the next method runs
+        # with the filtering rows, the ML labels and the logs formed, only
+        # fb reads the likelihood
+        if alpha is not None and ml is not None and logs is not None and (
+                "fb" not in spec.methods[k + 1:]):
+            Psi = None
     return out
 
 
@@ -185,9 +218,11 @@ def _check_run(seed, trials, chunk, n, jobs, db, methods, known):
         raise ValueError("need a finite Eb/N0 in dB, got %r" % (db,))
     if not methods:
         raise ValueError("need at least one method")
-    for m in methods:
+    for k, m in enumerate(methods):
         if m not in known:
             raise ValueError("unknown method %r" % (m,))
+        if m in methods[:k]:
+            raise ValueError("--methods: %s is listed twice" % (m,))
     return seed
 
 

@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .numerics import log_normalize
+from .numerics import log_normalize_inplace
 
 FreqPrior = namedtuple("FreqPrior", ["mu_a", "r_a"])
 
@@ -136,9 +136,14 @@ def freq_posterior(x, prior, grid, r_e):
     grid = np.asarray(grid)
     sinT, s2 = _design(grid, X.shape[1])
     r = 1.0 / (s2 / r_e + 1.0 / prior.r_a)
-    mu = r * (np.einsum("gi,bi->bg", sinT, X) / r_e + prior.mu_a / prior.r_a)
-    half = mu ** 2 / (2.0 * r)
-    marginal = log_normalize(half + 0.5 * np.log(r))
+    # r * (X sin / r_e + mu_a / r_a) and mu^2 / (2r), in place
+    mu = np.einsum("gi,bi->bg", sinT, X)
+    mu /= r_e
+    mu += prior.mu_a / prior.r_a
+    mu *= r
+    half = np.square(mu)
+    half /= 2.0 * r
+    marginal = log_normalize_inplace(half + 0.5 * np.log(r))
     jm = np.argmax(half, axis=1)
     post = FreqPosteriorGrid(
         grid, r, mu, marginal, _rowdot(marginal, grid), grid[np.argmax(marginal, axis=1)],
@@ -164,13 +169,14 @@ def _mean_field(post, mean, extra, cycles):
         s = _rowdot(ftilde, post.r)
         c1 = 2.0 * m
         c2 = -(m ** 2 + s)
-        # (c1 mean + c2) / (2r) + extra, in place on one (B, G) array
-        logw = c1[:, None] * mean
-        logw += c2[:, None]
-        logw /= two_r
+        # (c1 mean + c2) / (2r) + extra, normalized, written over the
+        # factor the two dots above were the last to read
+        np.multiply(c1[:, None], mean, out=ftilde)
+        ftilde += c2[:, None]
+        ftilde /= two_r
         if extra is not None:
-            logw += extra
-        ftilde = log_normalize(logw)
+            ftilde += extra
+        log_normalize_inplace(ftilde)
     return ftilde, m, s, c1, c2
 
 
@@ -224,8 +230,11 @@ def tvb_freq(x, prior, grid, r_e, cycles=5, post=None):
     one = post.mu.ndim == 1
     P = _lift(post) if one else post
     u12 = np.reshape(tvb_u12(x, post, r_e), -1)
-    mu0 = P.mu + u12[:, None] * P.grid
-    extra = (P.mu ** 2 - mu0 ** 2) / (2.0 * P.r)
+    mu0 = u12[:, None] * P.grid
+    mu0 += P.mu
+    extra = np.square(P.mu)
+    extra -= np.square(mu0)
+    extra /= 2.0 * P.r
     ftilde, mu2, sigma2_sq, beta1, beta2 = _mean_field(P, mu0, extra, cycles)
     omega_hat = _rowdot(ftilde, P.grid)
     res = TvbFreqState(omega_hat, ftilde, u12, mu2, sigma2_sq, beta1, beta2,

@@ -63,7 +63,8 @@ def viterbi(model):
     """Joint-MAP trajectory; lam holds the final (shifted) path metrics."""
     labels, lam, kappa = viterbi_trace(
         safe_log(model.T), safe_log(model.p), safe_log(model.Psi)[None])
-    return ViterbiTrace(lam[0], kappa[0] + 1, labels[0] + 1)
+    # 1-based, widened first: a uint8 back-pointer 255 + 1 wraps to 0
+    return ViterbiTrace(lam[0], kappa[0].astype(np.int32) + 1, labels[0] + 1)
 
 
 def bidirectional_viterbi(model):

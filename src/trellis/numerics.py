@@ -240,19 +240,23 @@ def exp_inplace(a):
     return a
 
 
-def log_normalize(logw):
-    """Normalize log weights into probabilities along the last axis (stable).
+def log_normalize_inplace(w):
+    """Normalize log weights into probabilities along the last axis, in w.
 
-    Each row is shifted by its own maximum and summed along the
-    contiguous last axis, so a row of a stacked call equals the call on
-    that row alone, bit for bit. The exponentials go through
-    exp_inplace: this serves the tone posterior's (B, G) rows, most of
-    whose shifted entries underflow. The mean-field marginal sweep
-    normalizes its (B, M) rows itself, with np.exp (see the module
-    docstring).
+    w is a float64 array. Each row is shifted by its own maximum and
+    summed along the contiguous last axis, so a row of a stacked call
+    equals the call on that row alone, bit for bit. The exponentials go
+    through exp_inplace: this serves the tone kernels' (B, G)
+    temporaries, most of whose shifted entries underflow. The mean-field
+    marginal sweep normalizes its (B, M) rows itself, with np.exp (see
+    the module docstring).
     """
-    logw = np.asarray(logw, dtype=float)
-    w = logw - np.maximum.reduce(logw, axis=-1, keepdims=True)
+    w -= np.maximum.reduce(w, axis=-1, keepdims=True)
     exp_inplace(w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
+
+
+def log_normalize(logw):
+    """log_normalize_inplace's result in a new array; logw is not written."""
+    return log_normalize_inplace(np.array(logw, dtype=float))

@@ -101,12 +101,13 @@ def fresh_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=2048):
     raise RuntimeError("no convergence")
 
 
-def dense_viterbi_trace(logT, logp0, logPsi):
+def dense_viterbi_trace(logT, logp0, logPsi, kappa_dtype=None):
     """The min-sum Viterbi with the full (B, S, S) step at every step: the
-    reference the pruned kernel must equal bit for bit."""
+    reference the pruned kernel must equal bit for bit. Its back-pointers
+    take viterbi_trace's narrowest type unless kappa_dtype is given."""
     B, n, M = logPsi.shape
     lam = -(logPsi[:, 0] + logp0)
-    kappa = np.zeros((B, n, M), dtype=np.int32)
+    kappa = np.zeros((B, n, M), dtype=kappa_dtype or np.min_scalar_type(M - 1))
     base = np.arange(0, B * M * M, M).reshape(B, M)
     for i in range(1, n):
         tot = lam[:, None, :] - logT

@@ -95,6 +95,31 @@ def test_viterbi_pruning_runs_on_a_fading_block(monkeypatch):
     assert_same_arrays(got, dense_viterbi_trace(*logs))
 
 
+@pytest.mark.parametrize("S", [2, 64, 256, 257])
+def test_viterbi_back_pointers_take_the_narrowest_type(S):
+    # uint8 up to 256 states, uint16 above, with the int32 reference's
+    # labels, metrics and back-pointer values; the last state leads
+    # every other step, so back-pointer S - 1 occurs, which the scalar
+    # API's 1-based shift must not wrap
+    rng = np.random.default_rng(S)
+    B, n = 3, 12
+    T = rng.random((S, S)) + 0.05
+    T /= T.sum(axis=0, keepdims=True)
+    p0 = np.full(S, 1.0 / S)
+    Psi = rng.random((B, n, S)) + 1e-3
+    Psi[:, ::2, S - 1] += 100.0
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
+    labels, lam, kappa = batch.viterbi_trace(*logs)
+    want = dense_viterbi_trace(*logs, kappa_dtype=np.int32)
+    assert kappa.dtype == (np.uint8 if S <= 256 else np.uint16)
+    assert_same_arrays((labels, lam), want[:2])
+    assert np.array_equal(kappa, want[2]) and (kappa == S - 1).any()
+    trace = viterbi(HmcModel(T, p0, Psi[0]))
+    assert trace.kappa.dtype == np.int32
+    assert np.array_equal(trace.kappa, want[2][0] + 1)
+    assert np.array_equal(trace.labels, labels[0] + 1)
+
+
 def test_batch_ml_matches_scalar():
     _, _, Psi, models = _shared_setup(303)
     labels = batch_ml(Psi)
@@ -173,6 +198,8 @@ def test_divergences_equal_their_stepwise_oracles(S, n):
         for labels in (rng.integers(0, S, (B, n)), batch_ml(Psi)):
             got = batch_kld_labels(T, p0, Psi, labels)
             assert got.tobytes() == stepwise_kld_labels(T, alpha, labels).tobytes()
+            # given the filtering rows, it reads them and not Psi
+            assert batch_kld_labels(T, p0, None, labels, alpha).tobytes() == got.tobytes()
 
 
 @pytest.mark.parametrize("B, n, S, zeroed", [

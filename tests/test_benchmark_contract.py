@@ -45,8 +45,12 @@ def test_replay_reproduces_cli_csv(workload, tmp_path, monkeypatch):
         assert csv_body(fh.read()) == csv_body(replayed)
 
 
+# awgn-4qam runs both schedules of both sweeps, whose shared cycles end
+# after cycle 2 (marginal) and cycle 1 (point-mass); at 10 dB they are
+# the whole point-mass schedule at seeds 0 and 9, and not at seed 1
 @pytest.mark.parametrize("workload, seed", [
-    ("freq-n64", 0), ("freq-n64", 3), ("awgn-4qam", 0), ("fading-16qam", 0)])
+    ("freq-n64", 0), ("freq-n64", 3), ("awgn-4qam", 0), ("awgn-4qam", 1), ("awgn-4qam", 9),
+    ("fading-16qam", 0)])
 def test_full_size_cli_run_matches_its_golden(workload, seed, tmp_path, monkeypatch):
     # the recorded digests of golden.json, checked without a benchmark run:
     # a kernel change that moves an output bit fails here

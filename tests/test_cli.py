@@ -239,6 +239,24 @@ def test_unknown_method_is_config_error(capsys):
     assert "unknown method" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [(["hmc-awgn", "--methods", "vb,ml,vb"], "vb"),
+                                        (["freq", "--methods", "pm,pm"], "pm")])
+def test_repeated_method_is_config_error(argv, name, tmp_path, capsys, monkeypatch):
+    # a second run of a method would overwrite the first's accumulators
+    # and write its row twice; nothing runs
+    import trellis.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(experiments, "_map_chunks", no_run)
+    out = tmp_path / "run.csv"
+    rc = main(argv + ["--seed", "1", "--trials", "2", "--n", "8", "--out", str(out)])
+    assert rc == 1
+    assert "config error: --methods: %s is listed twice" % name in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_bad_float_list_is_config_error(capsys):
     rc = main(["hmc-awgn", "--seed", "1", "--ebn0", "6,abc"])
     assert rc == 1

@@ -111,6 +111,52 @@ def test_chunk_forms_likelihood_logs_and_ml_labels_once(methods, monkeypatch):
         assert row == want
 
 
+def _counting_updates(monkeypatch):
+    """Site updates run per sweep call, keyed by the schedule asked for
+    (None: the cycles both schedules share), summed over the calls."""
+    counts = {}
+    real_sweep = batch._sweep
+
+    def sweep(update, moved, B, n, span, max_cycles, accelerated, *args, **kwargs):
+        def counted(i, rows, mask):
+            ran = len(range(B)[rows]) if mask is None else int(np.count_nonzero(mask))
+            counts[accelerated] = counts.get(accelerated, 0) + ran
+            update(i, rows, mask)
+
+        return real_sweep(counted, moved, B, n, span, max_cycles, accelerated, *args, **kwargs)
+
+    monkeypatch.setattr(batch, "_sweep", sweep)
+    return counts
+
+
+@pytest.mark.parametrize("ebn0_db", [3.0, 10.0])
+def test_chunk_runs_the_cycles_a_schedule_pair_shares_once(ebn0_db, monkeypatch):
+    counts = _counting_updates(monkeypatch)
+    methods = ("ml", "vb", "fcvb-acc", "vb-acc", "fcvb")
+    cfg = ExperimentConfig(M=4, ebn0_db=ebn0_db, n=50, trials=7, seed=5, methods=methods,
+                           chunk=4)
+    rows = run_experiment(cfg)
+    shared, run = counts.pop(None), sum(counts.values())
+    # each method alone, and each pair in the other order
+    alone = {}
+    for method in methods:
+        counts.clear()
+        alone[method] = run_experiment(cfg._replace(methods=(method,)))[0]
+        assert None not in counts
+        if method != "ml":
+            assert counts[method.endswith("acc")] == round(
+                alone[method]["nu_e_mean"] * cfg.trials * cfg.n)
+    back = run_experiment(cfg._replace(methods=tuple(reversed(methods))))
+    # the shared updates ran once for the two methods that each count them
+    assert shared > 0
+    assert run + 2 * shared == sum(row["nu_e_mean"] * cfg.trials * cfg.n
+                                   for row in alone.values() if row["nu_e_mean"] is not None)
+    for got in (rows, back):
+        for row in got:
+            assert row == dict(alone[row["method"]], wall_ms=row["wall_ms"])
+            assert row["nu_e_mean"] == alone[row["method"]]["nu_e_mean"]
+
+
 class _RecordingPool:
     """A stand-in for ProcessPoolExecutor that records max_workers and
     runs the chunks in this process."""

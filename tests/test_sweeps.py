@@ -130,3 +130,66 @@ def test_sweeps_leave_read_only_inputs_unchanged(xi, accelerated):
     assert_same_arrays(*(marginal_sweep(logT, logp0, logPsi, s, xi=xi, accelerated=accelerated)[:5]
                          for s in (flat, full)))
     assert p.flags.writeable and k.flags.writeable
+
+
+def _fork_end(fork, max_cycles):
+    """Where the shared cycles stopped."""
+    if fork.converged.all():
+        return "every trial converged"
+    if fork.cycles == max_cycles:
+        return "max_cycles"
+    return "after cycle 1" if fork.cycles == 1 else "after a later cycle"
+
+
+def _forks(B, n, M, settled):
+    """The block's logs and starts, and its shared cycles' forks at each
+    (xi, max_cycles): marginal, and point-mass (None but at xi=0)."""
+    T, p0, Psi = _block(1000 * B + 10 * n + M, B, n, M)
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
+    init, start, _ = _starts(logs, Psi, settled)
+    for xi, max_cycles in itertools.product((0.0, 0.01, 0.3), (1, 2, 3, 100)):
+        fork = marginal_sweep(*logs, init, xi, max_cycles, accelerated=None)
+        pm_fork = point_mass_sweep(*logs, start, max_cycles, None) if xi == 0.0 else None
+        yield logs, init, start, xi, max_cycles, fork, pm_fork
+
+
+@pytest.mark.parametrize("B,n,M,settled", BLOCKS)
+def test_shared_cycles_then_either_schedule_match_the_stepwise_schedule(B, n, M, settled):
+    # the fork is continued once from a copy, then in place, as a chunk
+    # running both schedules continues it
+    for logs, init, start, xi, max_cycles, fork, pm_fork in _forks(B, n, M, settled):
+        for accelerated in (False, True):
+            want = stepwise_marginal_sweep(*logs, init, xi, max_cycles, accelerated)
+            got = marginal_sweep(*logs, fork.copy() if not accelerated else fork, xi,
+                                 max_cycles, accelerated)
+            assert_same_arrays(got[:5], want[:5])
+            if pm_fork is not None:
+                want = stepwise_point_mass_sweep(*logs, start, max_cycles, accelerated)
+                got = point_mass_sweep(*logs, pm_fork.copy() if not accelerated else pm_fork,
+                                       max_cycles, accelerated)
+                assert_same_arrays(got, want)
+
+
+def test_shared_cycles_end_in_every_way_on_the_grid():
+    # the blocks above fork after cycle 1 and after a later cycle, stop
+    # at max_cycles and run whole schedules in the shared cycles
+    ends = set()
+    for block in BLOCKS:
+        for _, _, _, _, max_cycles, fork, pm_fork in _forks(*block):
+            ends.update(_fork_end(f, max_cycles) for f in (fork, pm_fork) if f is not None)
+    assert ends == {"after cycle 1", "after a later cycle", "max_cycles",
+                    "every trial converged"}
+
+
+def test_shared_cycles_are_those_where_every_live_step_is_due():
+    # at the fork some unconverged trial has a step the accelerated
+    # schedule leaves asleep; before it, none had
+    T, p0, Psi = _block(5, 7, 64, 4)
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
+    init = np.full(Psi.shape, 0.25)
+    fork = marginal_sweep(*logs, init, 0.01, 100, accelerated=None)
+    assert 1 < fork.cycles < 100 and not fork.converged.all()
+    assert not (fork.tau[1:-1] | fork.converged).all()
+    earlier = marginal_sweep(*logs, init, 0.01, fork.cycles - 1, accelerated=None)
+    assert earlier.cycles == fork.cycles - 1
+    assert (earlier.tau[1:-1] | earlier.converged).all()
