@@ -26,8 +26,15 @@ by master_seed XOR trial_index, with a fixed draw order per scenario
 (source uniforms, then channel uniforms for fading, then noise
 normals; the tone runs draw amplitude then noise). Partial results
 are combined in trial order, so --jobs changes nothing but wall_ms.
-Tone runs return per-trial squared errors and sum them over all trials,
-so their chunk size changes no output either. Symbol detection sums its
+Tone runs return per-trial squared errors and sum them over all trials.
+A tone chunk runs every method, the periodogram included, through one
+loop over row blocks, so each (rows, G) array it forms is bounded by
+the block (see _FREQ_ROWS). A row gets the same bits in any block of
+two or more rows, and a chunk of two or more trials has no one-row
+block, so the chunk size changes no tone output. Only a one-trial chunk
+(--chunk 1, or a last chunk of one trial) runs a one-row periodogram
+product, which can round its last bits differently; a near-tie between
+grid points would carry that into the estimate. Symbol detection sums its
 divergences per chunk (pairwise) before adding the chunks, so the last
 bits of kld_mean can move with the chunk size; its other columns, bar
 wall_ms, come from integer counts and do not.
@@ -360,9 +367,22 @@ _FreqPoint = namedtuple(
     "_FreqPoint", ["seed", "n", "omega", "r_e", "mu_a", "r_a", "pad", "cycles", "methods"])
 
 
-# Trials per freq kernel call: bounds the (rows, G) working arrays of a
-# chunk, which at G = 1024 would otherwise raise peak memory by a third.
+# Trials per row block of a tone chunk: every (rows, G) array the chunk
+# forms, the periodogram's included, is one block's, so a chunk's peak
+# memory does not grow with its trials past the (B, n) samples. The
+# periodogram is a BLAS product, whose rounding of a row holds for any
+# block of two or more rows but not for a lone row (a one-row product
+# takes another BLAS path), so a lone trailing row joins the block
+# before it and a block holds up to _FREQ_ROWS + 1 rows.
 _FREQ_ROWS = 64
+
+
+def _freq_blocks(B):
+    """The [b0, b1) row blocks of a B-trial tone chunk (see _FREQ_ROWS)."""
+    b0s = list(range(0, B, _FREQ_ROWS))
+    if len(b0s) > 1 and B - b0s[-1] == 1:
+        b0s.pop()
+    return zip(b0s, b0s[1:] + [B])
 
 
 def _run_freq_chunk(spec, t0, t1):
@@ -382,25 +402,27 @@ def _run_freq_chunk(spec, t0, t1):
         g = trial_generator(spec.seed, t)
         X[r] = spec.mu_a * tone + np.sqrt(spec.r_e) * g.standard_normal(n)
     sq = {m: [] for m in spec.methods}
-    if "periodogram" in sq:
-        P = periodogram(X, grid)
-        est = grid[np.argmax(P, axis=1)]
-        sq["periodogram"] = (est - spec.omega) ** 2
     others = [m for m in spec.methods if m != "periodogram"]
-    if others:
-        for b0 in range(0, B, _FREQ_ROWS):
-            Xb = X[b0:b0 + _FREQ_ROWS]
+    for b0, b1 in _freq_blocks(B):
+        Xb = X[b0:b1]
+        if "periodogram" in sq:
+            # only each row's peak outlives the block
+            sq["periodogram"].append(grid[np.argmax(periodogram(Xb, grid), axis=1)])
+        if others:
             post = freq_posterior(Xb, prior, grid, spec.r_e)
-            for m in others:
-                if m == "pm":
-                    est = post.post_mean
-                elif m == "map":
-                    est = post.marginal_map
-                elif m == "vb":
-                    est = vb_freq(Xb, prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
-                else:
-                    est = tvb_freq(Xb, prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
-                sq[m].extend((e - spec.omega) ** 2 for e in est.tolist())
+        for m in others:
+            if m == "pm":
+                est = post.post_mean
+            elif m == "map":
+                est = post.marginal_map
+            elif m == "vb":
+                est = vb_freq(Xb, prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
+            else:
+                est = tvb_freq(Xb, prior, grid, spec.r_e, spec.cycles, post=post).omega_hat
+            sq[m].extend((e - spec.omega) ** 2 for e in est.tolist())
+        post = None  # freed before the next block's periodogram
+    if "periodogram" in sq:
+        sq["periodogram"] = (np.concatenate(sq["periodogram"]) - spec.omega) ** 2
     return sq
 
 
@@ -425,10 +447,10 @@ def check_freq_experiment(n, snr_db, trials, seed, omega_bins, pad, cycles, mu_a
     seed = _check_run(seed, trials, chunk, n, jobs, snr_db, methods, FREQ_METHODS)
     if pad < 1:
         raise ValueError("need pad >= 1, got %r" % (pad,))
-    # the (G, n) sin and phase tables, and a chunk's (B, n) samples and
-    # (B, G) periodogram, on the G = pad * n / 2 grid points
+    # the (G, n) sin and phase tables, a chunk's (B, n) samples and one
+    # row block's complex periodogram, on the G = pad * n / 2 grid points
     B, G = min(chunk, trials), pad * n // 2
-    _check_size(24 * G * n + 8 * B * n + 16 * B * G,
+    _check_size(24 * G * n + 8 * B * n + 16 * min(B, _FREQ_ROWS + 1) * G,
                 "--n %d, --pad %d, --chunk %d" % (n, pad, chunk))
     if cycles < 0:
         raise ValueError("need cycles >= 0, got %r" % (cycles,))

@@ -67,7 +67,10 @@ def periodogram(x, grid):
 
     The (G, n) phase table depends only on (grid, n), so it is built
     once and shared read-only, as the Bayesian calls share their sin
-    table (see _design).
+    table (see _design). The product goes through BLAS: a row gets the
+    same bits in any block of two or more rows, but a single row takes
+    another BLAS path and can differ in the last bits, so a caller that
+    splits its rows into blocks keeps two or more in each.
     """
     x = np.asarray(x)
     ph = _phase_table(_grid_key(grid), x.shape[-1])

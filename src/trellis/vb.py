@@ -26,8 +26,9 @@ from .numerics import safe_log
 
 class StoppingConfig:
     def __init__(self, xi=0.01, max_cycles=100, accelerated=False):
-        if not xi >= 0:
-            raise ValueError("xi must be non-negative, got %r" % (xi,))
+        # an infinite xi would stop every trial after its first cycle
+        if not 0 <= xi < np.inf:
+            raise ValueError("xi must be finite and non-negative, got %r" % (xi,))
         if max_cycles < 1:
             raise ValueError("max_cycles must be positive")
         self.xi = float(xi)

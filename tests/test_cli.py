@@ -98,6 +98,7 @@ def test_non_positive_counts_are_config_errors(argv, word, capsys):
     (["freq", "--r-a", "inf"], "prior variance r_a"),
     (["freq", "--mu-a", "nan"], "prior mean mu_a"),
     (["freq", "--mu-a", "inf"], "prior mean mu_a"),
+    (["hmc-awgn", "--xi", "inf"], "xi"),
 ])
 def test_bad_sizes_are_config_errors(argv, message, capsys):
     rc = main(argv + ["--seed", "1", "--trials", "2", "--ebn0", "10"])
@@ -146,14 +147,17 @@ def test_scenario_is_not_a_flag(scenario, tmp_path, capsys):
 
 
 def test_freq_csv_independent_of_chunk_and_jobs(tmp_path):
-    base = ["freq", "--seed", "99", "--n", "16", "--trials", "50", "--ebn0", "10",
+    # 131 trials: --chunk 65 leaves a one-trial last chunk, and --chunk
+    # 2000 one chunk whose rows split into blocks of 64, 64 and 3
+    base = ["freq", "--seed", "99", "--n", "16", "--trials", "131", "--ebn0", "10",
             "--pad", "4"]
     bodies = []
-    for extra in (["--chunk", "7", "--jobs", "2"], ["--chunk", "2000"]):
+    for extra in (["--chunk", "7", "--jobs", "2"], ["--chunk", "1"], ["--chunk", "2"],
+                  ["--chunk", "65"], ["--chunk", "2000"]):
         path = str(tmp_path / "run.csv")
         assert main(base + extra + ["--out", path]) == 0
         bodies.append(open(path).read().split("\n", 1)[1])
-    assert bodies[0] == bodies[1]
+    assert bodies[1:] == bodies[:-1]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -353,6 +357,16 @@ def test_size_bound_admits_defaults_and_criterion_7():
                                       seed=1, methods=("ml", "va", "fcvb")))
     check_freq_experiment(n=64, snr_db=5.0, trials=10000, seed=1, omega_bins=1.1, pad=8,
                           cycles=5, mu_a=1.0, r_a=0.1, methods=FREQ_METHODS, chunk=2000, jobs=1)
+
+
+def test_size_bound_counts_one_block_of_the_periodogram():
+    # 2e6 trials in one chunk: 1 GB of samples, admitted; the whole
+    # chunk's (B, G) complex periodogram alone would count 8 GB
+    from trellis.experiments import FREQ_METHODS, check_freq_experiment
+
+    check_freq_experiment(n=64, snr_db=5.0, trials=2000000, seed=1, omega_bins=1.1, pad=8,
+                          cycles=5, mu_a=1.0, r_a=0.1, methods=FREQ_METHODS, chunk=2000000,
+                          jobs=1)
 
 
 def test_gdl_count_worked_example(tmp_path, capsys):

@@ -268,25 +268,68 @@ def test_block_posterior_matches_closed_form_loop():
 
 
 def test_run_freq_chunk_is_blocking_independent():
-    # below, at and above the kernel row block, each trial's squared
-    # errors equal those of single-trial calls
-    from trellis.experiments import _FREQ_ROWS, _FreqPoint, _run_freq_chunk, trial_generator
+    # below, at and above the row block, and with a lone trailing row,
+    # each trial's squared errors equal those of single-trial calls, and
+    # the periodogram's those of one product over the whole chunk
+    from trellis.experiments import (_FREQ_ROWS, _FreqPoint, _freq_blocks, _run_freq_chunk,
+                                     trial_generator)
 
     n, seed, omega, r_e = 16, 5, 1.1 * 2.0 * np.pi / 16, 0.3
-    methods = ("pm", "map", "vb", "tvb")
+    methods = ("periodogram", "pm", "map", "vb", "tvb")
     grid = dft_grid(n, 4)
     i = np.arange(1, n + 1)
-    ref = {m: [] for m in methods}
-    for t in range(2 * _FREQ_ROWS + 3):
-        x = np.sin(omega * i) + np.sqrt(r_e) * trial_generator(seed, t).standard_normal(n)
+    X = np.sin(omega * i) + np.sqrt(r_e) * np.array(
+        [trial_generator(seed, t).standard_normal(n) for t in range(2 * _FREQ_ROWS + 3)])
+    ref = {m: [] for m in methods[1:]}
+    for x in X:
         post = freq_posterior(x, PRIOR, grid, r_e)
         est = {"pm": post.post_mean, "map": post.marginal_map,
                "vb": vb_freq(x, PRIOR, grid, r_e, 5, post=post).omega_hat,
                "tvb": tvb_freq(x, PRIOR, grid, r_e, 5, post=post).omega_hat}
-        for m in methods:
+        for m in ref:
             ref[m].append((est[m] - omega) ** 2)
-    for B in (_FREQ_ROWS - 1, _FREQ_ROWS, 2 * _FREQ_ROWS + 3):
+    for B in (1, _FREQ_ROWS - 1, _FREQ_ROWS, 2 * _FREQ_ROWS + 1, 2 * _FREQ_ROWS + 3):
         point = _FreqPoint(seed, n, omega, r_e, PRIOR.mu_a, PRIOR.r_a, 4, 5, methods)
         got = _run_freq_chunk(point, 0, B)
-        for m in methods:
+        P = periodogram(X[:B], grid)
+        assert np.array_equal(got["periodogram"], (grid[np.argmax(P, axis=1)] - omega) ** 2), B
+        # the blocks' products hold the whole product's bits, not only its peaks
+        blocks = list(_freq_blocks(B))
+        assert np.array_equal(np.concatenate([periodogram(X[b0:b1], grid) for b0, b1 in blocks]),
+                              P), B
+        for m in methods[1:]:
             assert got[m] == ref[m][:B], (B, m)
+
+
+def test_freq_blocks_cover_the_chunk_with_no_lone_row():
+    from trellis.experiments import _FREQ_ROWS, _freq_blocks
+
+    for B in range(1, 3 * _FREQ_ROWS + 3):
+        blocks = list(_freq_blocks(B))
+        assert [b0 for b0, _ in blocks] == [0] + [b1 for _, b1 in blocks[:-1]]
+        assert blocks[-1][1] == B
+        sizes = [b1 - b0 for b0, b1 in blocks]
+        assert max(sizes) <= _FREQ_ROWS + 1 and (B == 1 or min(sizes) >= 2), (B, sizes)
+
+
+def test_freq_chunk_peak_memory_does_not_grow_with_its_trials():
+    # a chunk that formed its whole (B, G) complex periodogram peaked
+    # 3.8 times higher at 8 blocks' trials than at one block's
+    import tracemalloc
+
+    from trellis.experiments import _FREQ_ROWS, FREQ_METHODS, _FreqPoint, _run_freq_chunk
+
+    n, pad = 64, 32
+    point = _FreqPoint(1, n, 1.1 * 2.0 * np.pi / n, 0.1, PRIOR.mu_a, PRIOR.r_a, pad, 5,
+                       FREQ_METHODS)
+    _run_freq_chunk(point, 0, 2)  # builds the grid's cached sin and phase tables
+    peaks = []
+    tracemalloc.start()
+    try:
+        for B in (_FREQ_ROWS, 8 * _FREQ_ROWS):
+            tracemalloc.reset_peak()
+            _run_freq_chunk(point, 0, B)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= 1.5 * peaks[0], peaks

@@ -50,6 +50,8 @@ def test_stopping_config_validation():
     with pytest.raises(ValueError):
         StoppingConfig(xi=float("nan"))
     with pytest.raises(ValueError):
+        StoppingConfig(xi=float("inf"))
+    with pytest.raises(ValueError):
         StoppingConfig(max_cycles=0)
     cfg = StoppingConfig(xi=0.0, max_cycles=3, accelerated=True)
     assert cfg.xi == 0.0 and cfg.max_cycles == 3 and cfg.accelerated
