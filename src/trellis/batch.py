@@ -16,10 +16,13 @@ schedule loop, _sweep, runs and counts the updates, and runs the test
 only where the schedule needs its answer: at the end of each cycle and
 of each block of steps, and on the accelerated schedule wherever a
 forward wake could make the next step due for another trial.
-The loop can also run only the cycles the plain and accelerated
-schedules share, and either schedule can continue from the SweepFork
-that leaves (see _sweep), so a caller running both runs those cycles
-once. The scalar API in hmc and vb runs them with B=1. Labels are
+A sweep maps one state, a SweepFork, to the next: it returns the state
+after its last cycle, never writes the one it was given, and continues
+a state passed back in with the bits of one longer call. So a caller
+running both schedules runs the cycles they share once (see _sweep)
+and continues that state under each, and vb.ivb_run builds its
+divergence trace one cycle per call. The scalar API in hmc and vb
+runs the sweeps with B=1. Labels are
 0-based and ties resolve to the smallest index. A trial gets the same
 bits alone or in a block, with three exceptions. A BLAS matrix product
 may round a row differently with a different number of rows: in the
@@ -30,9 +33,9 @@ block's shape. And batch_kld's entropy einsum (bik,bik->b) on a
 one-trial block sums along another path once n * M passes numpy's
 8192-element buffer (at n * M of 8196 to 8400, the terms of 1 to 5 of
 6 random trials alone differed from theirs in the block; at 8160 and
-8192, none did). So the marginal sweep's per-cycle divergence trace,
-which calls batch_kld on one row at a time, can differ in the last
-bits from a batch_kld call on the whole block.
+8192, none did). So vb.ivb_run's per-cycle divergence trace, which
+calls batch_kld on one trial, can differ in the last bits from a
+batch_kld call on a block that holds that trial.
 
 The Viterbi step is exact but pruned: with at least _PRUNE_MIN_STATES
 states it runs only over the states whose shifted metric is within a
@@ -403,27 +406,37 @@ _MOVE_ITEMS = 1 << 14
 
 
 class SweepFork(namedtuple("SweepFork", "rows tau cycles nu_c converged updates full")):
-    """A sweep's state at the end of the cycles both schedules share.
+    """A mean-field sweep's state between two cycles.
 
     rows is the sweep's working array: the pmfs p (B, n, M), or the
     labels with their end pads, (n + 2, B). tau (n + 2, B) holds the
-    accelerated schedule's flags with their pads, cycles the cycles run,
-    nu_c and converged as the sweeps return them, and updates (B,) and
-    full the integer update counts (see _sweep). A sweep continues a
-    fork in place; copy() keeps it for another continuation.
+    schedule's flags with their pads, cycles the cycles run, nu_c and
+    converged as the sweeps return them, and updates (B,) and full the
+    integer update counts (see _sweep). A sweep returns a new state and
+    never writes the one it was given.
     """
 
     __slots__ = ()
 
-    def copy(self):
-        return SweepFork(*(a.copy() if isinstance(a, np.ndarray) else a for a in self))
+    @classmethod
+    def start(cls, rows, B, n):
+        """The state before cycle 1: every step due, nothing counted."""
+        # each trial's update count, less the steps that updated every
+        # trial: those go to the scalar `full`, as adding a mask at every
+        # step cost about a tenth of the point-mass sweep's time on
+        # one-trial blocks
+        return cls(rows, np.ones((n + 2, B), dtype=bool), 0, np.zeros(B, dtype=np.int64),
+                   np.zeros(B, dtype=bool), np.zeros(B, dtype=np.int64), 0)
 
 
-def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None, fork=None):
-    """The mean-field schedule over site updates.
+def _sweep(update, moved, span, max_cycles, accelerated, state):
+    """The mean-field schedule over site updates, from state up to
+    max_cycles cycles in all.
 
-    Returns the schedule's state, SweepFork's fields after rows: (tau,
-    cycles, nu_c, converged, updates, full).
+    Returns the next state's fields after rows: (tau, cycles, nu_c,
+    converged, updates, full), with nu_c set to the cycles run for each
+    trial not yet converged. tau, nu_c and updates are copies; the rows
+    are the caller's to copy.
 
     update(i, rows, mask) computes and stores step i's new rows for the
     due trials, which rows selects (with the boolean mask, if not None).
@@ -461,29 +474,18 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None,
     cycle before changes nothing. accelerated=None runs these shared
     cycles, with the accelerated flags, and stops at the end of the
     first cycle after which they leave some step of an unconverged trial
-    asleep, at max_cycles or once every trial has converged. A call
-    given the returned state as fork continues from it under either
-    schedule, in place; the plain schedule first re-wakes the
-    unconverged trials, as it would have at the end of that cycle. The
-    counts stay integers across the two calls, so a continuation returns
-    the bits of one call that ran the whole schedule. after_cycle, if
-    given, is called at the end of each cycle the call runs with the
-    mask of the trials that ran in it.
+    asleep, at max_cycles or once every trial has converged. Either
+    schedule continues such a state; the plain one first re-wakes the
+    unconverged trials, as it would have at the end of that cycle. A
+    state carries everything the schedule keeps between cycles, the
+    counts as integers, so continuing it returns the bits of one call
+    that ran the whole schedule.
     """
-    if fork is None:
-        tau = np.ones((n + 2, B), dtype=bool)
-        # each trial's update count, less the steps that updated every
-        # trial: those go to the scalar `full`, as adding a mask at every
-        # step cost about a tenth of the point-mass sweep's time on
-        # one-trial blocks
-        updates = np.zeros(B, dtype=np.int64)
-        full = cycles = 0
-        nu_c = np.full(B, max_cycles, dtype=np.int64)
-        converged = np.zeros(B, dtype=bool)
-    else:
-        _, tau, cycles, nu_c, converged, updates, full = fork
-        if accelerated is False:
-            tau[1:-1] |= ~converged
+    _, tau, cycles, nu_c, converged, updates, full = state
+    tau, nu_c, updates = tau.copy(), nu_c.copy(), updates.copy()
+    B, n = len(converged), len(tau) - 2
+    if accelerated is False:
+        tau[1:-1] |= ~converged
     wake = accelerated is not False
     every = slice(None)
 
@@ -539,8 +541,6 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None,
             if lo >= 0:
                 flush(lo, min(b + span, n))
                 lo = -1
-        if after_cycle is not None:
-            after_cycle(~converged)
         live = tau[1:-1].any(axis=0)
         nu_c[~live & ~converged] = cycles
         converged = ~live
@@ -549,42 +549,39 @@ def _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle=None,
                 break  # the schedules part
         elif not accelerated:
             tau[1:-1] |= live
+    nu_c[~converged] = cycles
     return tau, cycles, nu_c, converged, updates, full
 
 
-def _counts(state, n):
-    """(nu_c, nu_e, converged, tau) of a finished schedule, tau without
-    its pads as (B, n)."""
-    tau, _, nu_c, converged, updates, full = state
-    return nu_c, (updates + full) / n, converged, tau[1:-1].T
+def _result(rows, state):
+    """A sweep's return value: (rows, nu_c, nu_e, converged, tau, state),
+    tau without its pads as (B, n)."""
+    n = len(state.tau) - 2
+    return (rows, state.nu_c, (state.updates + state.full) / n, state.converged,
+            state.tau[1:-1].T, state)
 
 
-def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerated=False,
-                   kld_rows=None):
+def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerated=False):
     """Mean-field marginal updates, plain or accelerated, on safe_log'd inputs.
 
     A step moves when its pmf moves more than xi in KS distance; a
     trial stops after the first cycle with no step moved (see _sweep).
     The inputs are read, never written: init is copied, and the start
     prior enters step 0's update, not logPsi. Returns (p, nu_c, nu_e,
-    converged, tau, kld): tau flags the steps still due, all False for a
-    converged trial. kld_rows, if given, is (T, alpha), the transition
-    matrix and the trials' filtering rows from batch_forward; kld[b]
-    then lists trial b's divergence after each cycle of this call that
-    trial b ran.
-
-    accelerated=None runs only the cycles the plain and the accelerated
-    schedule share and returns their SweepFork alone (see _sweep). init
-    may be such a fork, from a call on the same inputs, xi and
-    max_cycles; the sweep then continues it in place under the schedule
-    asked for and returns what one call from the start would.
+    converged, tau, state): tau flags the steps still due, all False
+    for a converged trial, and state is the SweepFork after the last
+    cycle run. init may be such a state, from a call on the same inputs
+    and xi; the sweep then continues it, up to max_cycles cycles in
+    all, and returns what one call from the start would. accelerated=None
+    runs only the cycles the plain and the accelerated schedule share
+    (see _sweep), and either schedule can continue its state.
     """
     B, n, M = logPsi.shape
-    fork = init if isinstance(init, SweepFork) else None
-    if fork is None:
+    if not isinstance(init, SweepFork):
         init = np.asarray(init, dtype=float)
         if init.shape != (B, n, M):
             raise ValueError("init must be B x n x M")
+        init = SweepFork.start(init, B, n)
     # xi below the resolution asks for an exact fixed point, with the
     # same bits alone or in a block: moves within the resolution are not
     # stored, and products are per-row dots. Coarser thresholds store
@@ -596,7 +593,7 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
             return np.einsum("bk,kj->bj", v, A)
     else:
         contract = np.matmul
-    p = np.array(init) if fork is None else fork.rows
+    p = np.array(init.rows)
     thr = max(xi, KS_RESOLUTION)
     span = max(1, _MOVE_ITEMS // (B * M))
     flat = np.arange(0, B * min(n, span) * M, M)[:, None]
@@ -640,19 +637,7 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
         was[...] = now
         return (ks.reshape(B, hi - lo) > thr).T
 
-    after_cycle = None
-    if kld_rows is not None:
-        T, alpha = kld_rows
-        kld = [[] for _ in range(B)]
-
-        def after_cycle(ran):
-            for b in ran.nonzero()[0]:
-                kld[b].append(float(batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]))
-
-    state = _sweep(update, moved, B, n, span, max_cycles, accelerated, after_cycle, fork)
-    if accelerated is None:
-        return SweepFork(p, *state)
-    return (p,) + _counts(state, n) + (None if kld_rows is None else kld,)
+    return _result(p, SweepFork(p, *_sweep(update, moved, span, max_cycles, accelerated, init)))
 
 
 def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerated=False):
@@ -660,16 +645,17 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
 
     A step moves when its label changes; a trial stops after the first
     change-free cycle, which nu_c counts (see _sweep). Returns (labels,
-    nu_c, nu_e, converged, tau), tau as marginal_sweep's. As there,
-    accelerated=None returns the SweepFork of the shared cycles, and
-    init_labels may be such a fork to continue.
+    nu_c, nu_e, converged, tau, state), as marginal_sweep does, and as
+    there init_labels may be a state to continue.
     """
     B, n, M = logPsi.shape
-    fork = init_labels if isinstance(init_labels, SweepFork) else None
-    if fork is None:
+    if not isinstance(init_labels, SweepFork):
         k = np.asarray(init_labels, dtype=np.int64)
         if k.shape != (B, n) or k.min() < 0 or k.max() >= M:
             raise ValueError("init_labels must be B x n states in [0, M)")
+        K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
+        K[1:-1] = k.T
+        init_labels = SweepFork.start(K, B, n)
     # Label M stands for the chain's ends: as the previous label it
     # selects the start prior, as the next label a zero row.
     nxt = np.zeros((M + 1, M))
@@ -677,11 +663,7 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
     prv = np.empty((M + 1, M))
     prv[:M] = logT.T
     prv[M] = logp0
-    if fork is None:
-        K = np.full((n + 2, B), M, dtype=np.int64)  # K[i + 1]: labels of step i
-        K[1:-1] = k.T
-    else:
-        K = fork.rows
+    K = init_labels.rows.copy()
     span = max(1, _MOVE_ITEMS // B)
     b0, seen = -span, None  # seen[j]: the labels of step b0 + j as last tested
 
@@ -704,10 +686,8 @@ def point_mass_sweep(logT, logp0, logPsi, init_labels, max_cycles=100, accelerat
         was[...] = now
         return m
 
-    state = _sweep(update, moved, B, n, span, max_cycles, accelerated, fork=fork)
-    if accelerated is None:
-        return SweepFork(K, *state)
-    return (K[1:-1].T.copy(),) + _counts(state, n)
+    state = SweepFork(K, *_sweep(update, moved, span, max_cycles, accelerated, init_labels))
+    return _result(K[1:-1].T.copy(), state)
 
 
 def batch_ivb(T, p0, Psi, init, xi=0.01, max_cycles=100, accelerated=False):

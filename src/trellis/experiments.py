@@ -65,7 +65,8 @@ from .channel import (
     sample_chain,
     snr_to_n0,
 )
-from .freq import FreqPrior, dft_grid, freq_posterior, periodogram, tvb_freq, vb_freq
+from .freq import (FreqPrior, check_variance, dft_grid, freq_posterior, periodogram,
+                   tvb_freq, vb_freq)
 from .numerics import safe_log
 from .vb import StoppingConfig
 
@@ -174,9 +175,8 @@ def _run_hmc_chunk(spec, t0, t1):
             if kind in pairs:
                 if kind not in forks:
                     t = time.perf_counter()
-                    start = sweep(start, accelerated=None)
+                    start = sweep(start, accelerated=None)[-1]
                     forks[kind] = start, time.perf_counter() - t
-                    start = start.copy()
                 else:
                     # the second of the pair continues the fork itself and
                     # is charged its cycles, which it would run alone
@@ -454,16 +454,15 @@ def check_freq_experiment(n, snr_db, trials, seed, omega_bins, pad, cycles, mu_a
                 "--n %d, --pad %d, --chunk %d" % (n, pad, chunk))
     if cycles < 0:
         raise ValueError("need cycles >= 0, got %r" % (cycles,))
-    if not 0.0 < r_a < np.inf:
-        raise ValueError("need a finite prior variance r_a > 0, got %r" % (r_a,))
+    _named("--r-a", check_variance, r_a, what="prior variance r_a")
     if not np.isfinite(mu_a):
         raise ValueError("need a finite prior mean mu_a, got %r" % (mu_a,))
     if not 0.0 <= omega_bins < n / 2:
         raise ValueError("need 0 <= omega_bins < n/2 = %r, got %r" % (n / 2, omega_bins))
     omega = omega_bins * 2.0 * np.pi / n
-    r_e = _noise_level(lambda: (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0)),
-                       "Eb/N0 %r dB with prior mean mu_a %r and variance r_a %r"
-                       % (snr_db, mu_a, r_a))
+    setting = "Eb/N0 %r dB with prior mean mu_a %r and variance r_a %r" % (snr_db, mu_a, r_a)
+    r_e = _noise_level(lambda: (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0)), setting)
+    check_variance(r_e, "%s gives noise level r_e, which" % setting)
     return seed, omega, r_e
 
 

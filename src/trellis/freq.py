@@ -25,6 +25,23 @@ from .numerics import log_normalize_inplace
 
 FreqPrior = namedtuple("FreqPrior", ["mu_a", "r_a"])
 
+# The tone kernels' largest terms grow as n * r**1.5 in a variance r
+# (the shear's r_hat * sum(...)) and as n**2 * r (the periodogram), and
+# they divide by r and by r / n. Both variances, the prior's and the
+# noise's, stay in this range, so those terms stay finite for every n
+# the point size check admits.
+VARIANCE_RANGE = (1e-100, 1e100)
+
+
+def check_variance(r, what):
+    """r as a float: a variance of the tone model in VARIANCE_RANGE."""
+    v = float(r)
+    lo, hi = VARIANCE_RANGE
+    if not lo <= v <= hi:
+        raise ValueError("%s must be in [%r, %r], got %r" % (what, lo, hi, r))
+    return v
+
+
 FreqPosteriorGrid = namedtuple(
     "FreqPosteriorGrid",
     ["grid", "r", "mu", "marginal", "post_mean", "marginal_map", "joint_map_omega", "joint_map_amp",

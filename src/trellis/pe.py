@@ -21,10 +21,20 @@ PE_NORM = np.sqrt(2.0) / np.pi ** 1.5
 
 PeModel = namedtuple("PeModel", ["Sigma", "rho", "method"])
 
+# Beyond this |rho| the plain factorization's divergence integrand is
+# too narrow along the diagonal for the 2-D Simpson rule to converge
+# by its finest grid: pe_approximate(..., "vb") failed from |rho| =
+# 0.99614 on, in a scan of |rho| in [0.98, 0.9962] at steps of 2e-5,
+# either sign.
+RHO_MAX = 0.995
+
 
 def pe_model(rho, method="eigen"):
     if not -1.0 < rho < 1.0:
         raise ValueError("rho must be in (-1, 1), got %r" % (rho,))
+    if abs(rho) > RHO_MAX:
+        raise ValueError("rho must be in [-%r, %r], where the divergence quadrature "
+                         "converges, got %r" % (RHO_MAX, RHO_MAX, rho))
     if method not in ("eigen", "ldu"):
         raise ValueError("method must be 'eigen' or 'ldu'")
     Sigma = np.array([[1.0, rho], [rho, 1.0]])

@@ -11,16 +11,17 @@ loop tests the moves of a run of steps at once, where the schedule
 needs them, rather than after every update. A run stops once no step
 is left due, and tau flags the steps still due. Cycle counts:
 nu_c counts full sweeps, nu_e is total single-step updates divided by
-n. The divergence trace is recorded by the same loop at the end of
-each cycle. kld_vb, from the posterior's chain factors (their logs
-taken in one call), is the reference for the batch divergence.
+n. The divergence trace is built by continuing the sweep's returned
+state one cycle per call, which gives the bits of one call. kld_vb,
+from the posterior's chain factors (their logs taken in one call), is
+the reference for the batch divergence.
 """
 
 from collections import namedtuple
 
 import numpy as np
 
-from .batch import batch_forward, marginal_sweep, point_mass_sweep
+from .batch import batch_forward, batch_kld, marginal_sweep, point_mass_sweep
 from .numerics import safe_log
 
 
@@ -93,12 +94,22 @@ def ivb_run(model, init, cfg=None, track_kld=False):
     if np.any(p < 0) or np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-9:
         raise ValueError("init rows must be simplex vectors")
     T, Psi = model.T, model.Psi[None]
-    kld_rows = (T, batch_forward(T, model.p, Psi)) if track_kld else None
-    p, nu_c, nu_e, converged, tau, kld = marginal_sweep(
-        safe_log(T), safe_log(model.p), safe_log(Psi), p[None], cfg.xi, cfg.max_cycles,
-        cfg.accelerated, kld_rows)
+    logs = safe_log(T), safe_log(model.p), safe_log(Psi)
+    # with track_kld the sweep runs one cycle per call, each call
+    # continuing the state the last returned (the bits of one call), and
+    # the trace takes the divergence after each
+    if track_kld:
+        alpha, kld = batch_forward(T, model.p, Psi), []
+    state = p[None]
+    for cycles in range(1 if track_kld else cfg.max_cycles, cfg.max_cycles + 1):
+        p, nu_c, nu_e, converged, tau, state = marginal_sweep(
+            *logs, state, cfg.xi, cycles, cfg.accelerated)
+        if track_kld:
+            kld.append(float(batch_kld(T, alpha, p)[0]))
+        if converged[0]:
+            break
     return VbResult(p[0], np.argmax(p[0], axis=1) + 1, int(nu_c[0]), float(nu_e[0]),
-                    bool(converged[0]), tau[0], kld[0] if track_kld else None)
+                    bool(converged[0]), tau[0], kld if track_kld else None)
 
 
 def fcvb_run(model, init_labels, cfg=None):
@@ -116,7 +127,7 @@ def fcvb_run(model, init_labels, cfg=None):
         raise ValueError("init_labels must have length n")
     if np.any(k < 0) or np.any(k >= M):
         raise ValueError("init labels out of range")
-    labels, nu_c, nu_e, converged, tau = point_mass_sweep(
+    labels, nu_c, nu_e, converged, tau, _ = point_mass_sweep(
         safe_log(model.T), safe_log(model.p), safe_log(model.Psi)[None], k[None],
         cfg.max_cycles, cfg.accelerated)
     return FcvbResult(labels[0] + 1, int(nu_c[0]), float(nu_e[0]), bool(converged[0]), tau[0])

@@ -1,14 +1,17 @@
 """Property tests of the chain kernels against the enumerated posterior,
 of the forward-only pass and the point-mass divergence against the
 full pass and the one-hot divergence they must equal bit for bit, and
-of the plain mean-field schedule against the accelerated one, of the
-divergence trace the schedule records at the end of each cycle, and of
-the pruned Viterbi step against the dense one it must equal bit for bit.
+of the plain mean-field schedule against the accelerated one, of
+sweeps continued one cycle per call and the divergence trace built so
+against one call and the stepwise schedule, and of the pruned Viterbi
+step against the dense one it must equal bit for bit.
 
 Models are drawn with zero entries in the transition matrix and the
 start pmf, likelihood entries down to 1e-30 and blocks of several
 trials sharing one chain, including n=1 and M=2.
 """
+
+import functools
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from conftest import assert_same_arrays, dense_viterbi_trace
+from conftest import assert_same_arrays, dense_viterbi_trace, stepwise_marginal_sweep
 from trellis import batch
 from trellis.batch import (DegenerateObservation, batch_fb, batch_forward, batch_kld,
                            batch_kld_labels, forward_backward, marginal_sweep,
@@ -24,6 +27,7 @@ from trellis.batch import (DegenerateObservation, batch_fb, batch_forward, batch
 from trellis.hmc import BruteForcePosterior, HmcModel
 from trellis.numerics import safe_log
 from trellis.semiring import semiring
+from trellis.vb import StoppingConfig, ivb_run
 
 # an enumerated MAP must beat the runner-up by this relative margin
 # before the kernels are required to find it: ties may go either way
@@ -221,7 +225,7 @@ def test_mean_field_rows_match_their_single_runs(block, accelerated):
     p, nu_c, nu_e, conv, tau, _ = marginal_sweep(
         logT, logp0, logPsi, init, xi=0.0, max_cycles=60, accelerated=accelerated)
     start = np.argmax(Psi, axis=2)
-    k, mu_c, mu_e, mconv, mtau = point_mass_sweep(
+    k, mu_c, mu_e, mconv, mtau, _ = point_mass_sweep(
         logT, logp0, logPsi, start, max_cycles=60, accelerated=accelerated)
     for b in range(B):
         one = marginal_sweep(logT, logp0, logPsi[b:b + 1], init[b:b + 1], xi=0.0,
@@ -237,26 +241,54 @@ def test_mean_field_rows_match_their_single_runs(block, accelerated):
         assert nu_e[b] <= nu_c[b] and mu_e[b] <= mu_c[b]
 
 
+def _same_state(got, want):
+    assert (got.cycles, got.full) == (want.cycles, want.full)
+    assert_same_arrays([got.rows, got.tau, got.nu_c, got.converged, got.updates],
+                       [want.rows, want.tau, want.nu_c, want.converged, want.updates])
+
+
 @SETTINGS
 @given(chain_blocks(), st.booleans(), st.sampled_from([0.0, 0.01]),
        st.sampled_from([1, 2, 60]))
-def test_kld_trace_has_one_entry_per_cycle(block, accelerated, xi, max_cycles):
-    # the end-of-cycle hook: one divergence per cycle a trial ran, for
-    # converged trials and those cut at max_cycles, the last of them
-    # that of the returned pmfs
+def test_sweeps_continued_one_cycle_per_call_give_one_calls_bits(block, accelerated, xi,
+                                                                  max_cycles):
+    # each call continues the state the last returned for one more
+    # cycle, past the cycle where every trial converged if there is one
     T, p0, Psi = block
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
     init = Psi / Psi.sum(axis=2, keepdims=True)
+    runs = ((functools.partial(marginal_sweep, *logs, xi=xi), init),
+            (functools.partial(point_mass_sweep, *logs), np.argmax(Psi, axis=2)))
+    for sweep, start in runs:
+        want = sweep(start, max_cycles=max_cycles, accelerated=accelerated)
+        got = sweep(start, max_cycles=1, accelerated=accelerated)
+        for cycles in range(2, max_cycles + 1):
+            got = sweep(got[-1], max_cycles=cycles, accelerated=accelerated)
+        assert_same_arrays(got[:5], want[:5])
+        _same_state(got[-1], want[-1])
+
+
+@SETTINGS
+@given(chain_blocks(), st.booleans(), st.sampled_from([0.0, 0.01]),
+       st.sampled_from([1, 2, 60]))
+def test_ivb_kld_trace_matches_the_stepwise_schedule(block, accelerated, xi, max_cycles):
+    # one divergence per cycle, for converged runs and those cut at
+    # max_cycles, the last of them that of the returned pmfs
+    T, p0, Psi = block
+    model = HmcModel(T, p0, Psi[0])
     try:
-        alpha = batch_forward(T, p0, Psi)
+        alpha = batch_forward(T, p0, Psi[:1])
     except DegenerateObservation:
         assume(False)
-    p, nu_c, _, _, _, kld = marginal_sweep(
-        safe_log(T), safe_log(p0), safe_log(Psi), init, xi=xi, max_cycles=max_cycles,
-        accelerated=accelerated, kld_rows=(T, alpha))
-    for b in range(Psi.shape[0]):
-        assert len(kld[b]) == nu_c[b]
-        last = batch_kld(T, alpha[b:b + 1], p[b:b + 1])[0]
-        assert np.array_equal(kld[b][-1], last, equal_nan=True)
+    init = Psi[0] / Psi[0].sum(axis=1, keepdims=True)
+    res = ivb_run(model, init, StoppingConfig(xi, max_cycles, accelerated), track_kld=True)
+    want = stepwise_marginal_sweep(safe_log(T), safe_log(p0), safe_log(Psi[:1]), init[None],
+                                   xi, max_cycles, accelerated, kld_rows=(T, alpha))
+    assert len(res.kld_trace) == res.nu_c == want[1][0]
+    assert np.array(res.kld_trace).tobytes() == np.array(want[5][0]).tobytes()
+    assert res.p.tobytes() == want[0][0].tobytes()
+    last = batch_kld(T, alpha, res.p[None])[0]
+    assert np.array_equal(res.kld_trace[-1], last, equal_nan=True)
 
 
 @SETTINGS

@@ -1,11 +1,14 @@
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from trellis.cli import main
+from trellis.experiments import HMC_CSV_HEADER
 from trellis.factors import Factor, FactorModel, VariableSpace, save_model
 
 
@@ -308,6 +311,16 @@ def test_fading_model_out_of_range_is_config_error(flag, word, capsys):
     (["hmc-fading", "--k", "-3", "--rho", "0.5"],
      "config error: --k: K must be positive, got -3"),
     (["pe-demo", "--rho", "0.2,1.5"], "config error: --rho: rho must be in (-1, 1), got 1.5"),
+    (["pe-demo", "--rho", "0.2,0.997"], "config error: --rho: rho must be in [-0.995, 0.995], "
+     "where the divergence quadrature converges, got 0.997"),
+    (["pe-demo", "--rho", "-0.998", "--transform", "ldu"], "config error: --rho: rho must be in "
+     "[-0.995, 0.995], where the divergence quadrature converges, got -0.998"),
+    (["pe-demo", "--rho", "0.997", "--transform", "eigen"], "config error: --rho: rho must be "
+     "in [-0.995, 0.995], where the divergence quadrature converges, got 0.997"),
+    (["freq", "--r-a", "1e210"],
+     "config error: --r-a: prior variance r_a must be in [1e-100, 1e+100], got 1e+210"),
+    (["freq", "--r-a", "1e-101"],
+     "config error: --r-a: prior variance r_a must be in [1e-100, 1e+100], got 1e-101"),
 ])
 def test_model_setting_errors_name_their_flag(argv, message, monkeypatch, tmp_path, capsys):
     # once an isqrt traceback, a quadrature RuntimeError (or, above the
@@ -326,6 +339,33 @@ def test_model_setting_errors_name_their_flag(argv, message, monkeypatch, tmp_pa
     err = capsys.readouterr().err
     assert message in err.splitlines() and "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("r_a", [1e-100, 1e100])
+@pytest.mark.parametrize("r_e", [1.001e-100, 0.999e100])
+@pytest.mark.parametrize("n, pad", [(2, 1), (64, 8)])
+def test_tone_variances_at_their_range_ends_give_finite_rows(r_a, r_e, n, pad, tmp_path):
+    # the prior variance at either end of its range, with the Eb/N0 that
+    # puts the noise variance r_e at either end of the same range; no
+    # kernel may overflow or divide by zero
+    from trellis.experiments import check_freq_experiment
+    from trellis.freq import VARIANCE_RANGE
+
+    ebn0 = 10.0 * math.log10((1.0 + r_a) / (2.0 * r_e))
+    kw = dict(n=n, snr_db=ebn0, trials=4, seed=1, omega_bins=0.5, pad=pad, cycles=5, mu_a=1.0,
+              r_a=r_a, methods=("periodogram", "pm", "map", "vb", "tvb"), chunk=4, jobs=1)
+    got = check_freq_experiment(**kw)[2]
+    assert np.isclose(got, r_e, rtol=1e-6) and VARIANCE_RANGE[0] <= got <= VARIANCE_RANGE[1]
+    out = tmp_path / "freq.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["freq", "--seed", "1", "--trials", "4", "--n", str(n), "--pad", str(pad),
+                   "--omega-bins", "0.5", "--r-a", repr(r_a), "--ebn0=%r" % ebn0,
+                   "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()[2:]
+    assert len(rows) == 5
+    assert all(np.isfinite(float(row.split(",")[4])) for row in rows)
 
 
 @pytest.mark.parametrize("argv, flags", [
@@ -559,3 +599,44 @@ def test_cli_import_leaves_the_process_pool_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=60, check=True).stdout
     assert out.strip() == "False"
+
+
+# Run as `python -c`: makes importing scipy or hypothesis fail, then runs
+# the CLI with the arguments after -c, or imports the named module.
+_NUMPY_ONLY = """
+import sys
+
+class _Absent:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] in ("scipy", "hypothesis"):
+            raise ImportError("no module named %r here" % name)
+
+sys.meta_path.insert(0, _Absent())
+if sys.argv[1] == "import":
+    __import__(sys.argv[2])
+from trellis.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("argv, tail", [
+    (["selftest"], "all checks passed"),
+    (["hmc-awgn", "--seed", "3", "--trials", "4", "--n", "20", "--ebn0", "6"], None),
+])
+def test_cli_runs_with_numpy_alone(argv, tail):
+    # the package needs no runtime dependency beyond numpy and the
+    # standard library, though the tests themselves use scipy and hypothesis
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for name in ("scipy", "hypothesis.strategies"):
+        blocked = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, "import", name], env=env,
+                                 capture_output=True, text=True, timeout=60)
+        assert blocked.returncode != 0 and "ImportError" in blocked.stderr
+    run = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, *argv], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    if tail is not None:
+        assert lines[-1] == tail
+    else:
+        assert lines[1] == ",".join(HMC_CSV_HEADER) and len(lines) > 2

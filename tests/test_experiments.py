@@ -117,13 +117,14 @@ def _counting_updates(monkeypatch):
     counts = {}
     real_sweep = batch._sweep
 
-    def sweep(update, moved, B, n, span, max_cycles, accelerated, *args, **kwargs):
+    def sweep(update, moved, span, max_cycles, accelerated, state):
         def counted(i, rows, mask):
-            ran = len(range(B)[rows]) if mask is None else int(np.count_nonzero(mask))
+            ran = (len(range(len(state.converged))[rows]) if mask is None
+                   else int(np.count_nonzero(mask)))
             counts[accelerated] = counts.get(accelerated, 0) + ran
             update(i, rows, mask)
 
-        return real_sweep(counted, moved, B, n, span, max_cycles, accelerated, *args, **kwargs)
+        return real_sweep(counted, moved, span, max_cycles, accelerated, state)
 
     monkeypatch.setattr(batch, "_sweep", sweep)
     return counts

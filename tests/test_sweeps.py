@@ -4,11 +4,13 @@ batch._sweep forms the moves of a run of steps at once, against the
 rows as the move test last saw them; conftest.stepwise_sweep tests
 every site update as it runs. Both must give the same bits: pmfs or
 labels, cycle and update counts, convergence flags, tau and the
-divergence trace. Blocks cover one trial, trials that converge in
-different cycles (masked steps) and one trial that runs on after all
-the others (one-row steps).
+divergence trace, built by continuing a sweep's state one cycle per
+call. Blocks cover one trial, trials that converge in different cycles
+(masked steps) and one trial that runs on after all the others
+(one-row steps).
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -16,7 +18,7 @@ import pytest
 
 from conftest import assert_same_arrays, stepwise_marginal_sweep, stepwise_point_mass_sweep
 from trellis import batch
-from trellis.batch import batch_forward, marginal_sweep, point_mass_sweep
+from trellis.batch import batch_forward, batch_kld, marginal_sweep, point_mass_sweep
 from trellis.numerics import safe_log
 
 
@@ -59,6 +61,21 @@ BLOCKS = [(1, 1, 2, "none"), (1, 64, 3, "none"), (1, 65, 16, "none"),
           (40, 65, 4, "odd")]
 
 
+def _traced_sweep(logs, init, xi, max_cycles, accelerated, kld_rows):
+    """marginal_sweep continued one cycle per call, with each trial's
+    divergence after every cycle it ran, as stepwise_marginal_sweep's
+    kld_rows trace: (the last call's result, the trace)."""
+    T, alpha = kld_rows
+    kld = [[] for _ in range(len(init))]
+    res = None
+    for cycles in range(1, max_cycles + 1):
+        ran = np.ones(len(init), dtype=bool) if res is None else ~res[3]
+        res = marginal_sweep(*logs, init if res is None else res[5], xi, cycles, accelerated)
+        for b in ran.nonzero()[0]:
+            kld[b].append(float(batch_kld(T, alpha[b:b + 1], res[0][b:b + 1])[0]))
+    return res, kld
+
+
 @pytest.mark.parametrize("B,n,M,settled", BLOCKS)
 def test_sweeps_match_the_stepwise_schedule(B, n, M, settled):
     T, p0, Psi = _block(1000 * B + 10 * n + M, B, n, M)
@@ -67,15 +84,17 @@ def test_sweeps_match_the_stepwise_schedule(B, n, M, settled):
     init, start, mask = _starts(logs, Psi, settled)
     for xi, max_cycles, accelerated in itertools.product((0.0, 0.01, 0.3), (1, 2, 100),
                                                          (False, True)):
-        args = xi, max_cycles, accelerated, (T, alpha)
+        args = xi, max_cycles, accelerated
         got = marginal_sweep(*logs, init, *args)
-        want = stepwise_marginal_sweep(*logs, init, *args)
+        want = stepwise_marginal_sweep(*logs, init, *args, kld_rows=(T, alpha))
         assert_same_arrays(got[:5], want[:5])
-        assert got[5] == want[5]
+        traced, kld = _traced_sweep(logs, init, *args, (T, alpha))
+        assert_same_arrays(traced[:5], want[:5])
+        assert kld == want[5]
         if xi == 0.0:
             pm = point_mass_sweep(*logs, start, max_cycles, accelerated)
             want = stepwise_point_mass_sweep(*logs, start, max_cycles, accelerated)
-            assert_same_arrays(pm, want)
+            assert_same_arrays(pm[:5], want)
         if xi == 0.0 and max_cycles == 100 and mask.any():
             # the settled trials stop after one cycle, and the others
             # run on after them
@@ -97,7 +116,7 @@ def test_sweeps_match_the_stepwise_schedule_across_blocks(monkeypatch, items, B,
     for xi, accelerated in itertools.product((0.0, 0.01), (False, True)):
         assert_same_arrays(marginal_sweep(*logs, init, xi, 100, accelerated)[:5],
                            stepwise_marginal_sweep(*logs, init, xi, 100, accelerated)[:5])
-        assert_same_arrays(point_mass_sweep(*logs, start, 100, accelerated),
+        assert_same_arrays(point_mass_sweep(*logs, start, 100, accelerated)[:5],
                            stepwise_point_mass_sweep(*logs, start, 100, accelerated))
 
 
@@ -148,26 +167,39 @@ def _forks(B, n, M, settled):
     logs = safe_log(T), safe_log(p0), safe_log(Psi)
     init, start, _ = _starts(logs, Psi, settled)
     for xi, max_cycles in itertools.product((0.0, 0.01, 0.3), (1, 2, 3, 100)):
-        fork = marginal_sweep(*logs, init, xi, max_cycles, accelerated=None)
-        pm_fork = point_mass_sweep(*logs, start, max_cycles, None) if xi == 0.0 else None
+        fork = marginal_sweep(*logs, init, xi, max_cycles, accelerated=None)[-1]
+        pm_fork = point_mass_sweep(*logs, start, max_cycles, None)[-1] if xi == 0.0 else None
         yield logs, init, start, xi, max_cycles, fork, pm_fork
 
 
 @pytest.mark.parametrize("B,n,M,settled", BLOCKS)
 def test_shared_cycles_then_either_schedule_match_the_stepwise_schedule(B, n, M, settled):
-    # the fork is continued once from a copy, then in place, as a chunk
-    # running both schedules continues it
+    # both schedules continue the same fork, as a chunk running both does
     for logs, init, start, xi, max_cycles, fork, pm_fork in _forks(B, n, M, settled):
         for accelerated in (False, True):
             want = stepwise_marginal_sweep(*logs, init, xi, max_cycles, accelerated)
-            got = marginal_sweep(*logs, fork.copy() if not accelerated else fork, xi,
-                                 max_cycles, accelerated)
+            got = marginal_sweep(*logs, fork, xi, max_cycles, accelerated)
             assert_same_arrays(got[:5], want[:5])
             if pm_fork is not None:
                 want = stepwise_point_mass_sweep(*logs, start, max_cycles, accelerated)
-                got = point_mass_sweep(*logs, pm_fork.copy() if not accelerated else pm_fork,
-                                       max_cycles, accelerated)
-                assert_same_arrays(got, want)
+                got = point_mass_sweep(*logs, pm_fork, max_cycles, accelerated)
+                assert_same_arrays(got[:5], want)
+
+
+@pytest.mark.parametrize("first,then", [(None, False), (None, True), (False, False),
+                                        (True, True)])
+def test_continuing_a_state_leaves_it_unchanged(first, then):
+    T, p0, Psi = _block(5, 7, 64, 4)
+    logs = safe_log(T), safe_log(p0), safe_log(Psi)
+    init, start, _ = _starts(logs, Psi, "odd")
+    for sweep, s in ((functools.partial(marginal_sweep, *logs, xi=0.01), init),
+                     (functools.partial(point_mass_sweep, *logs), start)):
+        state = sweep(s, max_cycles=2, accelerated=first)[-1]
+        assert not state.converged.all()
+        kept = [np.array(a) for a in state]
+        res = sweep(state, max_cycles=100, accelerated=then)
+        assert res[-1].cycles > state.cycles
+        assert_same_arrays([np.asarray(a) for a in state], kept)
 
 
 def test_shared_cycles_end_in_every_way_on_the_grid():
@@ -187,9 +219,9 @@ def test_shared_cycles_are_those_where_every_live_step_is_due():
     T, p0, Psi = _block(5, 7, 64, 4)
     logs = safe_log(T), safe_log(p0), safe_log(Psi)
     init = np.full(Psi.shape, 0.25)
-    fork = marginal_sweep(*logs, init, 0.01, 100, accelerated=None)
+    fork = marginal_sweep(*logs, init, 0.01, 100, accelerated=None)[-1]
     assert 1 < fork.cycles < 100 and not fork.converged.all()
     assert not (fork.tau[1:-1] | fork.converged).all()
-    earlier = marginal_sweep(*logs, init, 0.01, fork.cycles - 1, accelerated=None)
+    earlier = marginal_sweep(*logs, init, 0.01, fork.cycles - 1, accelerated=None)[-1]
     assert earlier.cycles == fork.cycles - 1
     assert (earlier.tau[1:-1] | earlier.converged).all()
