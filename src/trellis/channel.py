@@ -68,11 +68,13 @@ def gaussian_psi(x, means, n0):
     divided by its peak (a shared per-row factor, so every inference
     method is unaffected), keeping exponentials in range at high SNR.
     Each block of steps is built in place in the one output array: the
-    bits of exp(-|x - m|**2 / n0 - max) without a complex (..., n, M)
-    temporary, and with exp_inplace's mask no larger than a block. A
-    row's maximum is read at its argmax, by one flat take from the
-    output: the value the short-axis max reduction gives (NaN for a row
-    with a NaN), at less cost. The exponents are -(...) / n0, so every
+    bits of exp(-|x - m|**2 / n0 - max) where normal, +0.0 where
+    subnormal (exp_inplace's flush, which keeps the passes that read
+    Psi off numpy's slow subnormal arithmetic), without a complex
+    (..., n, M) temporary, and with exp_inplace's mask no larger than a
+    block. A row's maximum is read at its argmax, by one flat take from
+    the output: the value the short-axis max reduction gives (NaN for a
+    row with a NaN), at less cost. The exponents are -(...) / n0, so every
     zero among them is -0.0 and no +0.0/-0.0 tie can pick another zero.
     """
     x, means = np.asarray(x), np.asarray(means)

@@ -23,18 +23,20 @@ class _ConfigError(ValueError):
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
+        # argparse's message names the argument ("argument --m: invalid
+        # int value: 'x'"); it is one config error line like any other
         self.print_usage(sys.stderr)
-        sys.stderr.write("%s: error: %s\n" % (self.prog, message))
+        sys.stderr.write("config error: %s\n" % message)
         raise _ConfigError(message, usage_shown=True)
 
 
-def _csv_floats(text):
+def _csv_floats(text, flag):
     try:
         values = [float(v) for v in str(text).split(",") if v != ""]
     except ValueError:
-        raise _ConfigError("bad numeric list %r" % (text,))
+        raise _ConfigError("%s: bad numeric list %r" % (flag, text))
     if not values:
-        raise _ConfigError("empty numeric list %r" % (text,))
+        raise _ConfigError("%s: empty numeric list %r" % (flag, text))
     return values
 
 
@@ -175,16 +177,16 @@ def _cmd_hmc(args):
     from .experiments import (ExperimentConfig, HMC_CSV_HEADER, _named, check_experiment,
                               run_experiment)
 
-    ebn0s = _csv_floats(args.ebn0)
+    ebn0s = _csv_floats(args.ebn0, "--ebn0")
     if args.cmd == "hmc-fading":
         if args.rho is not None and args.fdts is not None:
             raise _ConfigError("give --rho or --fdts, not both")
         if args.rho is not None:
-            rhos = _csv_floats(args.rho)
+            rhos = _csv_floats(args.rho, "--rho")
         elif args.fdts is not None:
             # an error names the Doppler value the user gave, not just its rho
             rhos = [_named("--fdts %r" % f, check_rho, rho_from_doppler(f))
-                    for f in _csv_floats(args.fdts)]
+                    for f in _csv_floats(args.fdts, "--fdts")]
         else:
             raise _ConfigError("hmc-fading needs --rho or --fdts")
         K = args.k
@@ -214,7 +216,7 @@ def _cmd_freq(args):
                    omega_bins=args.omega_bins, pad=args.pad, cycles=args.cycles,
                    mu_a=args.mu_a, r_a=args.r_a, methods=_methods(args), chunk=args.chunk,
                    jobs=args.jobs)
-              for snr in _csv_floats(args.ebn0)]
+              for snr in _csv_floats(args.ebn0, "--ebn0")]
     # a bad later point fails before the first one runs
     for kw in points:
         check_freq_experiment(**kw)
@@ -265,7 +267,7 @@ def _cmd_pe_demo(args):
     from .experiments import PE_CSV_HEADER, run_pe_demo
 
     return _write(args, PE_CSV_HEADER,
-                  run_pe_demo(_csv_floats(args.rho), transform=args.transform))
+                  run_pe_demo(_csv_floats(args.rho, "--rho"), transform=args.transform))
 
 
 def _selftest_checks():
@@ -277,7 +279,7 @@ def _selftest_checks():
     from .gdl import dual_entropy, fb_reduce_sequential, fb_reduce_single, naive_reduce
     from .hmc import (HmcModel, bidirectional_viterbi, brute_force_posterior,
                       fb_algorithm, viterbi)
-    from .numerics import adaptive_simpson_2d, safe_log, simpson_2d
+    from .numerics import adaptive_simpson_2d, exp_inplace, safe_log, simpson_2d
     from .pe import pe_logpdf, pe_model
     from .semiring import ALL_SEMIRINGS, check_laws, semiring
 
@@ -371,6 +373,24 @@ def _selftest_checks():
             assert np.array_equal(plain[1], accel[1])
             assert plain[0].tobytes() == accel[0].tobytes()
 
+    def check_flushed_exp():
+        # np.exp, then every subnormal result set to +0.0, on the cut's
+        # neighbours and on a mixture (own generator, as above) that
+        # reaches the subnormal band, whole and as a strided view
+        tiny = np.finfo(float).tiny
+        cut = float(np.log(tiny))
+        edge = [np.nextafter(cut, -np.inf), cut, np.nextafter(cut, np.inf),
+                -745.2, -0.0, np.nan, np.inf, -np.inf]
+        mix = np.random.default_rng(13).uniform(-760.0, 0.0, (8, 64))
+        mix[:, :len(edge)] = edge
+        for x in (mix, mix[:, ::3]):
+            want = np.exp(x)
+            assert ((want > 0) & (want < tiny)).any()
+            want[want < tiny] = 0.0
+            got = exp_inplace(x.copy())
+            assert got.tobytes() == want.tobytes()
+            assert not ((got > 0) & (got < tiny)).any()
+
     def check_quantizer_threshold():
         q = rayleigh_quantizer(2, 0.5)
         assert abs(q.thresholds[1] - np.sqrt(np.log(2.0))) < 1e-12
@@ -444,6 +464,7 @@ def _selftest_checks():
         ("chain kernel vs split reduction", check_chain_vs_split),
         ("point-mass divergence vs one-hot", check_point_mass_divergence),
         ("accelerated sweep equivalence", check_lemma_equivalence),
+        ("flushed exponential vs np.exp", check_flushed_exp),
         ("quantizer threshold", check_quantizer_threshold),
         ("channel quadrature vs fresh grids", check_channel_quadrature),
         ("freq_batch_rows", check_freq_batch_rows),

@@ -217,17 +217,17 @@ def _check_run(seed, trials, chunk, n, jobs, db, methods, known):
         raise ValueError("--seed is required for experiment runs")
     seed = int(seed)
     if not 0 <= seed < (1 << 64):
-        raise ValueError("seed must fit in 64 bits")
+        raise ValueError("--seed: seed must fit in 64 bits")
     for name, value in (("trials", trials), ("chunk", chunk), ("n", n), ("jobs", jobs)):
         if value < 1:
-            raise ValueError("need %s >= 1, got %r" % (name, value))
+            raise ValueError("--%s: need %s >= 1, got %r" % (name, name, value))
     if not np.isfinite(db):
-        raise ValueError("need a finite Eb/N0 in dB, got %r" % (db,))
+        raise ValueError("--ebn0: need a finite Eb/N0 in dB, got %r" % (db,))
     if not methods:
-        raise ValueError("need at least one method")
+        raise ValueError("--methods: need at least one method")
     for k, m in enumerate(methods):
         if m not in known:
-            raise ValueError("unknown method %r" % (m,))
+            raise ValueError("--methods: unknown method %r" % (m,))
         if m in methods[:k]:
             raise ValueError("--methods: %s is listed twice" % (m,))
     return seed
@@ -289,8 +289,11 @@ def check_experiment(cfg):
     """
     seed = _check_run(cfg.seed, cfg.trials, cfg.chunk, cfg.n, cfg.jobs, cfg.ebn0_db,
                       cfg.methods, HMC_METHODS)
-    n0 = _noise_level(lambda: snr_to_n0(cfg.ebn0_db), "Eb/N0 %r dB" % (cfg.ebn0_db,))
-    StoppingConfig(cfg.xi, cfg.max_cycles)
+    n0 = _named("--ebn0", _noise_level, lambda: snr_to_n0(cfg.ebn0_db),
+                setting="Eb/N0 %r dB" % (cfg.ebn0_db,))
+    # each value against the other's default, so an error names its flag
+    _named("--xi", StoppingConfig, cfg.xi)
+    _named("--max-cycles", StoppingConfig, 0.0, max_cycles=cfg.max_cycles)
     if cfg.scenario not in ("awgn", "fading"):
         raise ValueError("scenario must be 'awgn' or 'fading'")
     M = _named("--m", check_qam_order, cfg.M)
@@ -445,24 +448,29 @@ def check_freq_experiment(n, snr_db, trials, seed, omega_bins, pad, cycles, mu_a
     A caller with many points checks them all before the first runs.
     """
     seed = _check_run(seed, trials, chunk, n, jobs, snr_db, methods, FREQ_METHODS)
+    if n < 2:
+        raise ValueError("--n: a tone grid needs n >= 2, got %r" % (n,))
     if pad < 1:
-        raise ValueError("need pad >= 1, got %r" % (pad,))
+        raise ValueError("--pad: need pad >= 1, got %r" % (pad,))
     # the (G, n) sin and phase tables, a chunk's (B, n) samples and one
     # row block's complex periodogram, on the G = pad * n / 2 grid points
     B, G = min(chunk, trials), pad * n // 2
     _check_size(24 * G * n + 8 * B * n + 16 * min(B, _FREQ_ROWS + 1) * G,
                 "--n %d, --pad %d, --chunk %d" % (n, pad, chunk))
     if cycles < 0:
-        raise ValueError("need cycles >= 0, got %r" % (cycles,))
+        raise ValueError("--cycles: need cycles >= 0, got %r" % (cycles,))
     _named("--r-a", check_variance, r_a, what="prior variance r_a")
     if not np.isfinite(mu_a):
-        raise ValueError("need a finite prior mean mu_a, got %r" % (mu_a,))
+        raise ValueError("--mu-a: need a finite prior mean mu_a, got %r" % (mu_a,))
     if not 0.0 <= omega_bins < n / 2:
-        raise ValueError("need 0 <= omega_bins < n/2 = %r, got %r" % (n / 2, omega_bins))
+        raise ValueError("--omega-bins: need 0 <= omega_bins < n/2 = %r, got %r"
+                         % (n / 2, omega_bins))
     omega = omega_bins * 2.0 * np.pi / n
     setting = "Eb/N0 %r dB with prior mean mu_a %r and variance r_a %r" % (snr_db, mu_a, r_a)
-    r_e = _noise_level(lambda: (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0)), setting)
-    check_variance(r_e, "%s gives noise level r_e, which" % setting)
+    flags = "--ebn0, --mu-a, --r-a"
+    r_e = _named(flags, _noise_level,
+                 lambda: (mu_a ** 2 + r_a) / (2.0 * 10.0 ** (snr_db / 10.0)), setting=setting)
+    _named(flags, check_variance, r_e, what="%s gives noise level r_e, which" % setting)
     return seed, omega, r_e
 
 

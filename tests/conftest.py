@@ -85,6 +85,17 @@ def reference_bessel_i0_log(x):
     return out
 
 
+def flushed_exp(x):
+    """np.exp(x) with every result below the smallest normal double set to +0.0.
+
+    The contract of `exp_inplace`, written the plain way: NaN stays NaN,
+    and only the subnormal results change.
+    """
+    out = np.exp(x)
+    out[out < np.finfo(float).tiny] = 0.0
+    return out
+
+
 def fresh_simpson_2d(f, ax, bx, ay, by, rtol=1e-8, atol=0.0, n0=64, n_max=2048):
     """`adaptive_simpson_2d` with every level on a fresh grid, as first written.
 

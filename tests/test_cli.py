@@ -116,7 +116,7 @@ def test_seed_outside_64_bits_is_config_error(cmd, seed, capsys):
     rc = main([cmd, "--seed", seed, "--n", "8", "--trials", "2", "--ebn0", "10"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "config error: seed must fit in 64 bits" in err
+    assert "config error: --seed: seed must fit in 64 bits" in err
 
 
 def test_pe_demo_bad_rho_is_config_error(capsys):
@@ -190,7 +190,7 @@ def test_non_finite_ebn0_is_config_error(cmd, methods, value, tmp_path, capsys):
                "--ebn0=" + value, "--out", str(out)])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "config error: need a finite Eb/N0 in dB, got %s" % value in err
+    assert "config error: --ebn0: need a finite Eb/N0 in dB, got %s" % value in err
     assert not out.exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import special
 
-from conftest import fresh_simpson_2d, reference_bessel_i0_log
+from conftest import flushed_exp, fresh_simpson_2d, reference_bessel_i0_log
 
 from trellis.numerics import (
     LOG0,
@@ -133,6 +133,9 @@ def test_log_normalize_extreme_range():
 # exp rounds to +0.0 at and below log(2**-1075); the float64 just above
 # this rounds up to the smallest subnormal
 _HALF_SUBNORMAL_LOG = -745.1332191019412
+# exp is normal (at least tiny) from this float64 up, subnormal below it
+_NORMAL_LOG = -708.3964185322641
+_TINY = np.finfo(float).tiny
 
 
 def _exp_mixture(rng, shape):
@@ -148,33 +151,75 @@ def _exp_mixture(rng, shape):
         np.full(shape, np.nextafter(_HALF_SUBNORMAL_LOG, 0.0)),
         np.full(shape, _HALF_SUBNORMAL_LOG),
         np.full(shape, np.nextafter(_HALF_SUBNORMAL_LOG, -np.inf)),
+        np.full(shape, np.nextafter(_NORMAL_LOG, 0.0)),
+        np.full(shape, _NORMAL_LOG),
+        np.full(shape, np.nextafter(_NORMAL_LOG, -np.inf)),
     ]
     pick = rng.integers(0, len(bands), shape)
     return np.choose(pick, bands)
 
 
+def _subnormal(a):
+    return (a > 0) & (a < _TINY)
+
+
+def test_the_cut_is_where_exp_stops_being_normal():
+    # the module's cut is the log of the smallest normal double, and on
+    # this platform's np.exp that float is exactly the normal edge
+    from trellis.numerics import _EXP_ZERO_BELOW
+
+    assert _EXP_ZERO_BELOW == _NORMAL_LOG
+    assert np.exp(_NORMAL_LOG) >= _TINY
+    assert _subnormal(np.exp(np.nextafter(_NORMAL_LOG, -np.inf)))
+
+
 @pytest.mark.parametrize("shape", [(257,), (9, 33), (4, 7, 5)])
 def test_exp_inplace_bits_equal_np_exp(shape):
     x = _exp_mixture(np.random.default_rng(sum(shape)), shape)
-    want = np.exp(x)
+    want = flushed_exp(x)
     got = x.copy()
     assert exp_inplace(got) is got
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # the bands the mixture must reach, subnormal results among them
+    # the bands the mixture must reach, subnormal results of np.exp among
+    # them, which the flush sets to +0.0
     assert np.isnan(want).any() and (want == 0).any() and (got == 1.0).any()
-    assert ((want > 0) & (want < np.finfo(float).tiny)).any()
+    assert _subnormal(np.exp(x)).any() and not _subnormal(got).any()
 
 
 def test_exp_inplace_at_the_rounding_edge():
     x = np.array([np.nextafter(_HALF_SUBNORMAL_LOG, 0.0), _HALF_SUBNORMAL_LOG,
                   np.nextafter(_HALF_SUBNORMAL_LOG, -np.inf), -745.2, -745.3])
-    want = np.exp(x)
-    assert want[0] == 5e-324 and not want[1:].any()
-    assert np.array_equal(exp_inplace(x.copy()).view(np.int64), want.view(np.int64))
+    assert np.exp(x)[0] == 5e-324 and not np.exp(x)[1:].any()
+    want = flushed_exp(x)
+    assert not want.any()
+    got = exp_inplace(x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
     # a strided view, as gaussian_psi passes a block of its output
     block = np.tile(x, (3, 2))[:, ::2]
-    want = np.exp(block)
+    want = flushed_exp(block)
     assert np.array_equal(exp_inplace(block).view(np.int64), want.view(np.int64))
+
+
+def test_exp_inplace_at_the_normal_cut():
+    up, down = np.nextafter(_NORMAL_LOG, 0.0), np.nextafter(_NORMAL_LOG, -np.inf)
+    x = np.array([up, _NORMAL_LOG, down, -0.0, 0.0, np.nan, np.inf, -np.inf, -708.0])
+    with np.errstate(over="ignore"):
+        want = flushed_exp(x)
+    # np.exp's bits at and above the cut, +0.0 (not -0.0) below it
+    assert want[0] > want[1] >= _TINY and want[2] == 0.0 and not np.signbit(want[2])
+    assert want[3] == want[4] == 1.0 and np.isnan(want[5]) and want[6] == np.inf
+    assert want[7] == 0.0 and not np.signbit(want[7])
+    got = exp_inplace(x.copy())
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # the same entries in a strided block of a larger array, as
+    # gaussian_psi passes one (every other step of a (2, 6, 9) output)
+    out = np.tile(x, (2, 6, 1))
+    out[:, 1::2] = -1.0
+    block = out[:, ::2]
+    assert not block.flags.contiguous
+    exp_inplace(block)
+    assert np.array_equal(block.view(np.int64), np.broadcast_to(want, block.shape).view(np.int64))
+    assert (out[:, 1::2] == -1.0).all()
 
 
 def test_log_normalize_bits_equal_the_plain_exp_formula():
@@ -183,7 +228,8 @@ def test_log_normalize_bits_equal_the_plain_exp_formula():
     logw[:30][np.isnan(logw[:30])] = LOG0
     logw[:30, 0] = 0.0
     want = logw - np.maximum.reduce(logw, axis=-1, keepdims=True)
-    np.exp(want, out=want)
+    assert _subnormal(np.exp(want[:30])).any()
+    want = flushed_exp(want)
     want /= np.add.reduce(want, axis=-1, keepdims=True)
     assert (want[:30] == 0).any() and np.isnan(want[30:]).all()
     assert np.array_equal(log_normalize(logw).view(np.int64), want.view(np.int64))
