@@ -47,7 +47,7 @@ where some trial keeps more than a quarter of the states, and smaller
 chains run the full step (see viterbi_trace).
 
 The marginal sweep normalizes its (B, M) rows itself, with a plain
-np.exp: numerics.log_normalize's underflow mask pays for itself only on
+np.exp: numerics.log_normalize_inplace's underflow mask pays for itself only on
 long rows such as the tone posterior's. The per-step row maxima and
 minima (the sweep's shift and KS distance, Viterbi's shift) come from
 argmax/argmin and one flat take (_take_rows): the same values as the
@@ -612,7 +612,7 @@ def marginal_sweep(logT, logp0, logPsi, init, xi=0.01, max_cycles=100, accelerat
         s = logPsi[r, i] + contract(p[r, i - 1], logTt) if i else logPsi[r, 0] + logp0
         if i + 1 < n:
             s += contract(p[r, i + 1], logT)
-        # numerics.log_normalize's bits, with a plain np.exp: on a few
+        # numerics.log_normalize_inplace's steps, with a plain np.exp: on a few
         # states its underflow mask costs more than the exp it spares
         s -= _take_rows(s, s.argmax(axis=1, keepdims=True), flat)
         np.exp(s, out=s)

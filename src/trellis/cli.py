@@ -3,11 +3,14 @@
 Exit codes: 0 success, 1 configuration error, 2 selftest failure. Any
 ValueError from a subcommand is reported as a configuration error. A
 `--config file` of key=value lines overrides flags of the same name.
-Every CSV starts with a one-line manifest comment (tool version,
-subcommand, resolved settings) so a run can be replayed exactly.
+Each subparser names its handler (`run`), which `main` calls once the
+output paths are checked, before anything runs. Every CSV starts with
+a one-line manifest comment (tool version, subcommand, resolved
+settings) so a run can be replayed exactly.
 """
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -40,14 +43,15 @@ def _csv_floats(text, flag):
     return values
 
 
-def _csv_ints(text):
+def _csv_ints(text, flag):
     try:
         return [int(v) for v in str(text).split(",") if v != ""]
     except ValueError:
-        raise _ConfigError("bad integer list %r" % (text,))
+        raise _ConfigError("%s: bad integer list %r" % (flag, text))
 
 
 def build_parser():
+    """The parser; each subcommand sets `cmd` to its name and `run` to its handler."""
     p = _Parser(prog="trellis", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version="trellis " + __version__)
     sub = p.add_subparsers(dest="cmd", required=True)
@@ -63,31 +67,27 @@ def build_parser():
         sp.add_argument("--chunk", type=int, default=500)
         sp.add_argument("--config", default=None, help="key=value file overriding flags")
 
-    sp = sub.add_parser("hmc-awgn", help="symbol detection over a memoryless Gaussian channel")
-    common(sp, trials=1000, n=1000)
-    sp.set_defaults(scenario="awgn")
-    sp.add_argument("--m", type=int, default=4)
-    sp.add_argument("--ebn0", default="6,10,14", help="comma list of dB values")
-    sp.add_argument("--methods", default="ml,fb,va,vb,fcvb")
-    sp.add_argument("--xi", type=float, default=0.01)
-    sp.add_argument("--max-cycles", dest="max_cycles", type=int, default=100)
+    def hmc(name, help, scenario, ebn0):
+        sp = sub.add_parser(name, help=help)
+        common(sp, trials=1000, n=1000)
+        sp.set_defaults(run=_cmd_hmc, scenario=scenario)
+        sp.add_argument("--m", type=int, default=4)
+        sp.add_argument("--ebn0", default=ebn0, help="comma list of dB values")
+        sp.add_argument("--methods", default="ml,fb,va,vb,fcvb")
+        sp.add_argument("--xi", type=float, default=0.01)
+        sp.add_argument("--max-cycles", dest="max_cycles", type=int, default=100)
+        return sp
 
-    sp = sub.add_parser("hmc-fading", help="symbol detection over quantized Rayleigh fading")
-    common(sp, trials=1000, n=1000)
-    sp.set_defaults(scenario="fading")
-    sp.add_argument("--m", type=int, default=4)
+    hmc("hmc-awgn", "symbol detection over a memoryless Gaussian channel", "awgn", "6,10,14")
+    sp = hmc("hmc-fading", "symbol detection over quantized Rayleigh fading", "fading", "30")
     sp.add_argument("--k", type=int, default=8)
-    sp.add_argument("--ebn0", default="30")
     sp.add_argument("--rho", default=None, help="comma list of gain correlations")
     sp.add_argument("--fdts", default=None, help="comma list of normalized Doppler values")
     sp.add_argument("--sigma2", type=float, default=0.5)
-    sp.add_argument("--methods", default="ml,fb,va,vb,fcvb")
-    sp.add_argument("--xi", type=float, default=0.01)
-    sp.add_argument("--max-cycles", dest="max_cycles", type=int, default=100)
 
     sp = sub.add_parser("freq", help="single-tone frequency estimation RMS sweep")
     common(sp, trials=10000, n=64)
-    sp.set_defaults(chunk=2000)
+    sp.set_defaults(run=_cmd_freq, chunk=2000)
     sp.add_argument("--ebn0", default="5,15", help="comma list of SNR-per-bit dB values")
     sp.add_argument("--omega-bins", dest="omega_bins", type=float, default=1.1)
     sp.add_argument("--pad", type=int, default=8)
@@ -97,20 +97,30 @@ def build_parser():
     sp.add_argument("--methods", default="periodogram,pm,map,vb,tvb")
 
     sp = sub.add_parser("gdl-count", help="factor-model partitions and operator counts")
+    sp.set_defaults(run=_cmd_gdl_count)
     sp.add_argument("--model", required=True, help="model file (header 'm M n')")
     sp.add_argument("--keep", default="", help="comma list of variables to keep")
     sp.add_argument("--split", type=int, default=None)
     sp.add_argument("--mode", default="both", choices=["fb", "naive", "both"])
     sp.add_argument("--config", default=None)
 
-    sp = sub.add_parser("pe-demo", help="factored-approximation divergences of the quartic bivariate")
+    sp = sub.add_parser("pe-demo",
+                        help="factored-approximation divergences of the quartic bivariate")
+    sp.set_defaults(run=_cmd_pe_demo)
     sp.add_argument("--rho", default="0.2,0.5,0.8")
     sp.add_argument("--transform", default="eigen", choices=["eigen", "ldu"])
     sp.add_argument("--out", default=None)
     sp.add_argument("--config", default=None)
 
-    sub.add_parser("selftest", help="small-instance oracle equivalence suite")
+    sub.add_parser("selftest", help="small-instance oracle equivalence suite").set_defaults(
+        run=_cmd_selftest)
     return p
+
+
+# the subcommand, its handler and the config file itself: no config
+# line sets them, and the manifest leaves them out (with plot_data, a
+# second output that changes no result)
+_NOT_SETTINGS = ("cmd", "config", "run")
 
 
 def _config_argv(args):
@@ -119,26 +129,43 @@ def _config_argv(args):
         with open(args.config) as fh:
             lines = fh.readlines()
     except OSError as e:
-        raise _ConfigError("cannot read config file: %s" % e)
+        raise _ConfigError("--config: cannot read config file: %s" % e)
     flags = []
     for ln, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise _ConfigError("config line %d is not key=value" % ln)
+            raise _ConfigError("--config: line %d is not key=value" % ln)
         key, val = (s.strip() for s in line.split("=", 1))
         dest = key.replace("-", "_")
-        if not hasattr(args, dest) or dest in ("cmd", "config"):
-            raise _ConfigError("unknown config key %r" % key)
+        if not hasattr(args, dest) or dest in _NOT_SETTINGS:
+            raise _ConfigError("--config: unknown key %r" % key)
         flags.append("--%s=%s" % (dest.replace("_", "-"), val))
     return flags
 
 
-def _manifest(args, skip=("config", "plot_data")):
+def _check_outputs(args):
+    """Each output path is neither empty nor a directory, and its directory exists.
+
+    Run before anything is computed; it opens nothing, so no file is
+    created or truncated.
+    """
+    for flag, path in (("--out", getattr(args, "out", None)),
+                       ("--plot-data", getattr(args, "plot_data", None))):
+        if path in (None, "-"):
+            continue
+        if not path or os.path.isdir(path):
+            raise _ConfigError("%s: %r names no file to write" % (flag, path))
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise _ConfigError("%s: no directory %r to write %r in" % (flag, folder, path))
+
+
+def _manifest(args):
     pairs = ["tool=trellis-" + __version__, "cmd=" + args.cmd]
     for key in sorted(vars(args)):
-        if key in skip or key == "cmd":
+        if key in _NOT_SETTINGS + ("plot_data",):
             continue
         val = getattr(args, key)
         pairs.append("%s=%s" % (key, "-" if val is None else val))
@@ -240,16 +267,22 @@ def _cmd_gdl_count(args):
     try:
         model = load_model(args.model)
     except (OSError, ValueError) as e:
-        raise _ConfigError("bad model file: %s" % e)
-    keep = frozenset(_csv_ints(args.keep)) if args.keep else frozenset()
+        raise _ConfigError("--model: bad model file: %s" % e)
+    keep = frozenset(_csv_ints(args.keep, "--keep"))
     if not keep <= model.universe:
-        raise _ConfigError("keep set outside the model universe")
+        raise _ConfigError("--keep: keep set outside the model universe")
     split = args.split if args.split is not None else default_split(model.n)
     # the counts are for summing out every variable that is not kept; they
     # come first, so a bad split fails before anything is printed
     S = model.universe - keep
-    fb = count_operators(model, S, i=split, mode="fb") if args.mode != "naive" else None
-    nv = count_operators(model, S, mode="naive") if args.mode != "fb" else None
+    try:
+        fb = count_operators(model, S, i=split, mode="fb") if args.mode != "naive" else None
+    except ValueError as e:
+        raise _ConfigError("--split: %s" % e)
+    try:
+        nv = count_operators(model, S, mode="naive") if args.mode != "fb" else None
+    except ValueError as e:
+        raise _ConfigError("--mode %s: %s" % (args.mode, e))
     print("m=%d M=%d n=%d" % (model.space.m, model.space.M, model.n))
     print("NLN: " + _format_sets("[%d]", nln_partition(model)))
     print("FA: " + _format_sets("(%d)", fa_partition(model)))
@@ -498,15 +531,8 @@ def main(argv=None):
         if getattr(args, "config", None) is not None:
             # after the command line's flags, so a config line overrides its flag
             args = parser.parse_args(argv + _config_argv(args))
-        if args.cmd in ("hmc-awgn", "hmc-fading"):
-            return _cmd_hmc(args)
-        if args.cmd == "freq":
-            return _cmd_freq(args)
-        if args.cmd == "gdl-count":
-            return _cmd_gdl_count(args)
-        if args.cmd == "pe-demo":
-            return _cmd_pe_demo(args)
-        return _cmd_selftest(args)
+        _check_outputs(args)
+        return args.run(args)
     except ValueError as e:
         if not getattr(e, "usage_shown", False):
             parser.print_usage(sys.stderr)

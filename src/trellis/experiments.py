@@ -4,12 +4,14 @@ Both runners take one path. `check_experiment` / `check_freq_experiment`
 check the point first, drawing nothing: `_check_run` the seed, the
 counts, the Eb/N0 and the methods, `_noise_level` the noise level
 the Eb/N0 gives, the channel's own rules a fading point's rho, sigma2
-and K, and `_check_size` the bytes of the point's largest arrays; the
-point's model goes into one record, built once;
+and K, `_check_size` the bytes of the point's largest arrays and
+`_check_records` those of what the run keeps until its last chunk
+ends; the point's model goes into one record, built once;
 `_map_chunks` calls the chunk worker on that record and each chunk's
-trial range [t0, t1), serially or on a pool of at most as many workers
-as there are chunks and CPUs, and returns the partial results in trial
-order. A symbol-detection chunk forms what its methods share once: the
+trial range [t0, t1), formed as it goes, serially or on a pool of at
+most as many workers as there are chunks and CPUs, and returns the
+partial results in trial order. A symbol-detection chunk forms what
+its methods share once: the
 likelihoods, their logs (va and both sweeps), the ML labels (ml and the
 point-mass sweeps' start), the filtering rows (fb and both divergences;
 without them the point-mass divergence runs its own forward pass) and,
@@ -41,6 +43,7 @@ wall_ms, come from integer counts and do not.
 """
 
 import functools
+import itertools
 import os
 import sys
 import time
@@ -252,7 +255,7 @@ def _noise_level(formula, setting):
 def _map_chunks(worker, point, trials, chunk, jobs):
     """worker(point, t0, t1) over the chunks of trials, results in trial order."""
     t0s = range(0, trials, chunk)
-    t1s = [min(t0 + chunk, trials) for t0 in t0s]
+    t1s = (min(t0 + chunk, trials) for t0 in t0s)
     # the pool starts all its workers at once, so no more than there are
     # chunks to run and CPUs to run them; no output depends on the count
     workers = min(jobs, len(t0s), os.cpu_count() or 1)
@@ -261,24 +264,43 @@ def _map_chunks(worker, point, trials, chunk, jobs):
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as ex:
-            return list(ex.map(worker, [point] * len(t0s), t0s, t1s))
+            return list(ex.map(worker, itertools.repeat(point), t0s, t1s))
     return [worker(point, t0, t1) for t0, t1 in zip(t0s, t1s)]
 
 
-# The most bytes a point's largest arrays may take together. Past it,
-# numpy fails mid-run with a MemoryError traceback, maybe after earlier
-# points have run; below it, a run fits a workstation. Criterion 7's
-# 500 x 1000 x 64 chunk counts 0.48 GiB (its likelihood and logs), the
-# CLI defaults and the benchmark workloads less. The tracemalloc peak of
-# a 500-trial HMC chunk was 1.5 to 3.3 times its count.
+# The most bytes a point's largest arrays may take together, and the
+# most a run may keep across its chunks. Past it, numpy fails mid-run
+# with a MemoryError traceback, maybe after earlier points have run;
+# below it, a run fits a workstation. Criterion 7's 500 x 1000 x 64
+# chunk counts 0.48 GiB (its likelihood and logs), the CLI defaults and
+# the benchmark workloads less. The tracemalloc peak of a 500-trial HMC
+# chunk was 1.5 to 3.3 times its count.
 _MAX_POINT_BYTES = 4 << 30
 
+# What a run keeps until its last chunk ends, from tracemalloc over
+# 20000 chunks through _map_chunks: a chunk's record and, on a pool, its
+# future peaked at 2164 bytes with one method (one-trial chunks, two
+# workers; 504 serially), and each further method added 327 bytes to an
+# HMC record and 88 to a tone record. A tone trial keeps a Python float
+# per Bayesian method (32.7 bytes with its list slot) and 8 bytes of
+# periodogram error, which the sum over chunks copies once more.
+_CHUNK_BYTES, _HMC_METHOD_BYTES, _FREQ_METHOD_BYTES = 2200, 330, 90
+_TRIAL_METHOD_BYTES = 33
 
-def _check_size(nbytes, flags):
+
+def _check_size(nbytes, flags, what="a point's largest arrays take"):
     # whole GiB in integer arithmetic: a float could overflow on a huge --n
     if nbytes > _MAX_POINT_BYTES:
-        raise ValueError("%s: a point's largest arrays take %d GiB; a run may ask for "
-                         "at most %d GiB" % (flags, nbytes >> 30, _MAX_POINT_BYTES >> 30))
+        raise ValueError("%s: %s %d GiB; a run may ask for at most %d GiB"
+                         % (flags, what, nbytes >> 30, _MAX_POINT_BYTES >> 30))
+
+
+def _check_records(trials, chunk, chunk_bytes, trial_bytes=0):
+    """A run's per-chunk records and per-trial results against the same bound."""
+    chunks = -(-trials // chunk)
+    _check_size(chunks * chunk_bytes + trials * trial_bytes,
+                "--trials %d, --chunk %d" % (trials, chunk),
+                "the results a run keeps until its last chunk ends take")
 
 
 def check_experiment(cfg):
@@ -308,6 +330,8 @@ def check_experiment(cfg):
     # a chunk's (B, n, S) likelihood and its logs, T (S x S) and T_c (K x K)
     B, S = min(cfg.chunk, cfg.trials), M * K
     _check_size(8 * (2 * B * cfg.n * S + S * S + K * K), flags)
+    _check_records(cfg.trials, cfg.chunk,
+                   _CHUNK_BYTES + _HMC_METHOD_BYTES * len(cfg.methods))
     return seed, n0
 
 
@@ -457,6 +481,8 @@ def check_freq_experiment(n, snr_db, trials, seed, omega_bins, pad, cycles, mu_a
     B, G = min(chunk, trials), pad * n // 2
     _check_size(24 * G * n + 8 * B * n + 16 * min(B, _FREQ_ROWS + 1) * G,
                 "--n %d, --pad %d, --chunk %d" % (n, pad, chunk))
+    _check_records(trials, chunk, _CHUNK_BYTES + _FREQ_METHOD_BYTES * len(methods),
+                   _TRIAL_METHOD_BYTES * len(methods))
     if cycles < 0:
         raise ValueError("--cycles: need cycles >= 0, got %r" % (cycles,))
     _named("--r-a", check_variance, r_a, what="prior variance r_a")

@@ -69,10 +69,11 @@ class FactorModel:
                 raise ValueError("factor alphabet mismatch")
             if not g.vars:
                 raise ValueError("model factors need a non-empty index set")
-            if not g.index_set <= set(range(1, space.m + 1)):
+            # compared without a set of 1..m, which a huge m cannot build
+            if not all(1 <= v <= space.m for v in g.vars):
                 raise ValueError("factor indexes a variable outside 1..m")
             union |= g.index_set
-        if union != set(range(1, space.m + 1)):
+        if len(union) != space.m:
             raise ValueError("every variable must appear in at least one factor")
         self.universe = frozenset(union)
 
@@ -152,12 +153,16 @@ def load_model(path):
     it = iter(tokens)
     try:
         m, M, n = int(next(it)), int(next(it)), int(next(it))
+        space = VariableSpace(m, M)
         factors = []
         for _ in range(n):
             k = int(next(it))
+            if k < 1:
+                raise ValueError("factor %d has %d variables; need at least one"
+                                 % (len(factors) + 1, k))
             idx = [int(next(it)) for _ in range(k)]
             vals = np.array([float(next(it)) for _ in range(M ** k)])
             factors.append(Factor(idx, vals.reshape((M,) * k), M))
     except StopIteration:
         raise ValueError("truncated model file")
-    return FactorModel(VariableSpace(m, M), factors)
+    return FactorModel(space, factors)

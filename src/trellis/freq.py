@@ -84,10 +84,10 @@ def periodogram(x, grid):
 
     The (G, n) phase table depends only on (grid, n), so it is built
     once and shared read-only, as the Bayesian calls share their sin
-    table (see _design). The product goes through BLAS: a row gets the
-    same bits in any block of two or more rows, but a single row takes
-    another BLAS path and can differ in the last bits, so a caller that
-    splits its rows into blocks keeps two or more in each.
+    table (see _design_table). The product goes through BLAS: a row gets
+    the same bits in any block of two or more rows, but a single row
+    takes another BLAS path and can differ in the last bits, so a caller
+    that splits its rows into blocks keeps two or more in each.
     """
     x = np.asarray(x)
     ph = _phase_table(_grid_key(grid), x.shape[-1])
@@ -96,20 +96,16 @@ def periodogram(x, grid):
 
 @functools.lru_cache(maxsize=8)
 def _design_table(grid_bytes, n):
-    sinT = np.sin(np.outer(np.frombuffer(grid_bytes), np.arange(1, n + 1)))
-    s2 = (sinT ** 2).sum(axis=1)
-    sinT.flags.writeable = False
-    s2.flags.writeable = False
-    return sinT, s2
-
-
-def _design(grid, n):
     """Sin table sin(Omega_g i), i = 1..n, and its row energies s2.
 
     Neither depends on the data, so both are built once per (grid, n)
     and shared read-only by every later call on that grid.
     """
-    return _design_table(_grid_key(grid), n)
+    sinT = np.sin(np.outer(np.frombuffer(grid_bytes), np.arange(1, n + 1)))
+    s2 = (sinT ** 2).sum(axis=1)
+    sinT.flags.writeable = False
+    s2.flags.writeable = False
+    return sinT, s2
 
 
 def _rows(x):
@@ -154,7 +150,7 @@ def freq_posterior(x, prior, grid, r_e):
     """
     X, one = _rows(x)
     grid = np.asarray(grid)
-    sinT, s2 = _design(grid, X.shape[1])
+    sinT, s2 = _design_table(_grid_key(grid), X.shape[1])
     r = 1.0 / (s2 / r_e + 1.0 / prior.r_a)
     # r * (X sin / r_e + mu_a / r_a) and mu^2 / (2r), in place
     mu = np.einsum("gi,bi->bg", sinT, X)

@@ -6,7 +6,8 @@ API; everything internal is 0-based. Ties in any argmax/argmin resolve
 to the smallest index, uniformly (including the brute-force oracles),
 so label comparisons can be exact.
 The recursions run in trellis.batch; the posterior's chain factors
-and its enumeration are independent references for them.
+(two (n-1, M, M) arrays, formed in one array pass) and its enumeration
+are independent references for them.
 """
 
 from collections import namedtuple
@@ -85,22 +86,16 @@ def ml_detect(Psi):
 
 
 def posterior_chain_factors(model, smoothing):
-    """Backward (A_i) and forward (B_i) transition factors of the posterior.
+    """Backward (A) and forward (B) transition factors of the posterior.
 
-    Row k of A_i is the distribution of l_i given l_{i+1} = k and the
-    data up to i; column k of B_i is the distribution of l_{i+1} given
-    l_i = k and the data after i.
+    A and B are (n-1, M, M) arrays. Row k of A[i] is the distribution
+    of l_i given l_{i+1} = k and the data up to i; column k of B[i] is
+    the distribution of l_{i+1} given l_i = k and the data after i.
     """
-    T, Psi = model.T, model.Psi
-    n = model.n
-    alpha, beta = smoothing.alpha, smoothing.beta
-    A = []
-    B = []
-    for i in range(n - 1):
-        Ai = T * alpha[i][None, :]
-        A.append(Ai / Ai.sum(axis=1, keepdims=True))
-        Bi = (Psi[i + 1] * beta[i + 1])[:, None] * T
-        B.append(Bi / Bi.sum(axis=0, keepdims=True))
+    A = model.T * smoothing.alpha[:-1, None, :]
+    A /= A.sum(axis=2, keepdims=True)
+    B = (model.Psi[1:] * smoothing.beta[1:])[:, :, None] * model.T
+    B /= B.sum(axis=1, keepdims=True)
     return PosteriorChainFactors(A, B)
 
 

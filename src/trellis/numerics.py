@@ -265,8 +265,3 @@ def log_normalize_inplace(w):
     exp_inplace(w)
     w /= np.add.reduce(w, axis=-1, keepdims=True)
     return w
-
-
-def log_normalize(logw):
-    """log_normalize_inplace's result in a new array; logw is not written."""
-    return log_normalize_inplace(np.array(logw, dtype=float))

@@ -8,7 +8,9 @@ through moments of the other axis; the transformed variant decorrelates
 the quadratic first (orthogonal eigenbasis or unit-triangular factor,
 both unit Jacobian), runs the same scheme there and measures divergence
 in that space, which makes its divergence essentially independent of
-the correlation.
+the correlation. Both are one coordinate-ascent loop, each with its own
+factor family: the quartic factors plug in the other axis's first three
+moments, the decoupled ones its second moment.
 """
 
 from collections import namedtuple
@@ -80,41 +82,50 @@ def _quartic_coeffs(m1_j, m2_j, m3_j, rho):
     return c, a3, a2, a1
 
 
+def _coordinate_ascent(factor, stats, sweeps, tol):
+    """Mean-field coordinate ascent over the two axes.
+
+    factor(i, s) gives axis i's _GridFactor and its statistics from the
+    other axis's statistics s; stats holds both axes' starting
+    statistics (row i for axis i) and is updated in place. Returns the
+    factors and the statistics once none moves by tol; raises after
+    sweeps sweeps.
+    """
+    factors = [None, None]
+    for _ in range(sweeps):
+        prev = stats.copy()
+        for i in range(2):
+            factors[i], stats[i] = factor(i, stats[1 - i])
+        if np.max(np.abs(stats - prev)) < tol:
+            return factors, stats
+    raise RuntimeError("mean-field statistics did not settle in %d sweeps" % sweeps)
+
+
 def pe_vb(model):
     """Mean-field marginals on the original axes.
 
-    Returns _GridFactor marginals of theta_1 and theta_2 on [-8, 8] (8 sd)
-    and the moments once none moves by 1e-10; raises after 300 sweeps.
+    Each axis's factor plugs in the other's first three moments. Returns
+    _GridFactor marginals of theta_1 and theta_2 on [-8, 8] (8 sd) and
+    the moments once none moves by 1e-10; raises after 300 sweeps.
     """
-    rho = model.rho
-    moments = np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]])
-    factors = [None, None]
-    for _ in range(300):
-        prev = moments.copy()
-        for i in range(2):
-            j = 1 - i
-            c, a3, a2, a1 = _quartic_coeffs(*moments[j], rho)
+    def factor(i, m):
+        c, a3, a2, a1 = _quartic_coeffs(*m, model.rho)
 
-            def logf(t, c=c, a3=a3, a2=a2, a1=a1):
-                return -c * (t ** 4 + a3 * t ** 3 + a2 * t ** 2 + a1 * t)
+        def logf(t):
+            return -c * (t ** 4 + a3 * t ** 3 + a2 * t ** 2 + a1 * t)
 
-            factors[i] = _GridFactor((-8.0, 8.0), logf)
-            moments[i] = [factors[i].moment(k) for k in (1, 2, 3)]
-        if np.max(np.abs(moments - prev)) < 1e-10:
-            return factors, moments
-    raise RuntimeError("quartic mean-field moments did not settle")
+        f = _GridFactor((-8.0, 8.0), logf)
+        return f, [f.moment(k) for k in (1, 2, 3)]
+
+    return _coordinate_ascent(factor, np.array([[0.0, 1.0, 0.0], [0.0, 1.0, 0.0]]), 300, 1e-10)
 
 
 def _transform(model):
-    """Decoupling matrix A (phi = A theta) and the diagonal weights."""
+    """Diagonal weights of the decoupled metric (phi = A theta, A unit Jacobian)."""
     H = np.linalg.inv(model.Sigma)
     if model.method == "eigen":
-        lam, Q = np.linalg.eigh(H)
-        return Q.T, lam
-    u = H[0, 1] / H[0, 0]
-    A = np.array([[1.0, u], [0.0, 1.0]])
-    d = np.array([H[0, 0], H[1, 1] - H[0, 1] ** 2 / H[0, 0]])
-    return A, d
+        return np.linalg.eigh(H)[0]
+    return np.array([H[0, 0], H[1, 1] - H[0, 1] ** 2 / H[0, 0]])
 
 
 def pe_tvb(model):
@@ -122,25 +133,22 @@ def pe_tvb(model):
 
     The transformed density is proportional to exp(-(phi' D phi)^2/2)
     with D diagonal; each factor plugs in the other axis's second
-    moment. Returns the factors, second moments and diagonal weights.
+    moment. Returns the factors, second moments and diagonal weights
+    once no moment moves by 1e-12; raises after 200 sweeps.
     """
-    _, lam = _transform(model)
-    m2 = np.zeros(2)
-    factors = [None, None]
-    for _ in range(200):
-        prev = m2.copy()
-        for i in range(2):
-            j = 1 - i
-            cj = lam[j] * m2[j]
+    lam = _transform(model)
 
-            def logf(t, li=lam[i], cj=cj):
-                return -0.5 * (li * t ** 2 + cj) ** 2
+    def factor(i, m2):
+        cj = lam[1 - i] * m2
 
-            factors[i] = _GridFactor((-8.0 / np.sqrt(lam[i]), 8.0 / np.sqrt(lam[i])), logf)
-            m2[i] = factors[i].moment(2)
-        if np.max(np.abs(m2 - prev)) < 1e-12:
-            return factors, m2, lam
-    raise RuntimeError("transformed mean-field moments did not settle")
+        def logf(t):
+            return -0.5 * (lam[i] * t ** 2 + cj) ** 2
+
+        f = _GridFactor((-8.0 / np.sqrt(lam[i]), 8.0 / np.sqrt(lam[i])), logf)
+        return f, f.moment(2)
+
+    factors, m2 = _coordinate_ascent(factor, np.zeros(2), 200, 1e-12)
+    return factors, m2, lam
 
 
 def _kld_2d(f1, f2, log_joint):

@@ -13,8 +13,8 @@ is left due, and tau flags the steps still due. Cycle counts:
 nu_c counts full sweeps, nu_e is total single-step updates divided by
 n. The divergence trace is built by continuing the sweep's returned
 state one cycle per call, which gives the bits of one call. kld_vb,
-from the posterior's chain factors (their logs taken in one call), is
-the reference for the batch divergence.
+from the posterior's chain factors (one (n-1, M, M) array, its logs
+taken in one call), is the reference for the batch divergence.
 """
 
 from collections import namedtuple
@@ -70,10 +70,9 @@ def kld_vb(model, smoothing, chain, p):
         raise ValueError("p must be n x M")
     ent = float(np.sum(p * safe_log(p)))
     cross = float(np.sum(p[n - 1] * safe_log(smoothing.alpha[n - 1])))
-    if n > 1:
-        logA = safe_log(np.stack(chain.A))  # elementwise: each factor's own bits
-        for i in range(n - 1):
-            cross += float(p[i + 1] @ logA[i] @ p[i])
+    logA = safe_log(chain.A)  # elementwise: each factor's own bits
+    for i in range(n - 1):
+        cross += float(p[i + 1] @ logA[i] @ p[i])
     return ent - cross
 
 

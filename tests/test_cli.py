@@ -385,6 +385,100 @@ def test_oversized_run_is_config_error(argv, flags, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, worker", [
+    (["hmc-awgn", "--trials", "1000000000000", "--chunk", "1", "--n", "1", "--methods", "ml"],
+     "_run_hmc_chunk"),
+    (["freq", "--trials", "1000000000000", "--chunk", "1", "--n", "2", "--methods", "pm"],
+     "_run_freq_chunk"),
+    (["freq", "--trials", "1000000000000", "--chunk", "1000000", "--n", "2", "--pad", "1",
+      "--methods", "pm"], "_run_freq_chunk"),
+])
+def test_run_results_past_the_bound_are_config_errors(argv, worker, monkeypatch, capsys):
+    # once a MemoryError traceback: every chunk's bounds were listed before
+    # the first trial ran, and only one chunk counted toward the bound
+    import trellis.experiments as experiments
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(experiments, worker, no_run)
+    assert main(argv + ["--seed", "1", "--ebn0", "6"]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and "Traceback" not in err
+    assert errors[0].startswith("config error: --trials 1000000000000, --chunk %s: "
+                                % argv[argv.index("--chunk") + 1])
+
+
+def test_map_chunks_forms_the_chunk_bounds_as_it_runs():
+    from trellis.experiments import _map_chunks
+
+    seen = []
+
+    def worker(point, t0, t1):
+        seen.append((t0, t1))
+        if len(seen) == 3:
+            raise StopIteration
+        return t0
+
+    # a list of 10**18 bounds could not be formed
+    with pytest.raises(StopIteration):
+        _map_chunks(worker, None, 10 ** 18, 1, 1)
+    assert seen == [(0, 1), (1, 2), (2, 3)]
+
+
+# pe-demo writes no long-format CSV, so it has no --plot-data
+@pytest.mark.parametrize("cmd, flag", [("hmc-awgn", "--out"), ("hmc-awgn", "--plot-data"),
+                                       ("freq", "--out"), ("freq", "--plot-data"),
+                                       ("pe-demo", "--out")])
+@pytest.mark.parametrize("where", ["missing directory", "a directory", "empty"])
+def test_unwritable_output_fails_before_anything_runs(cmd, flag, where, monkeypatch, tmp_path,
+                                                      capsys):
+    # once a FileNotFoundError or IsADirectoryError traceback after the
+    # run, with --plot-data after the main CSV was written
+    import trellis.experiments as experiments
+    import trellis.pe
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(experiments, "_map_chunks", no_run)
+    monkeypatch.setattr(trellis.pe, "pe_approximate", no_run)
+    bad = {"missing directory": str(tmp_path / "no-such" / "x.csv"),
+           "a directory": str(tmp_path), "empty": ""}[where]
+    out = tmp_path / "run.csv"
+    out.write_text("kept\n")
+    argv = [cmd, "--out", str(out), flag, bad]
+    if cmd != "pe-demo":
+        argv += ["--seed", "1", "--trials", "2", "--n", "8"]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and errors[0].startswith("config error: %s: " % flag)
+    assert "Traceback" not in err
+    # neither created nor truncated
+    assert out.read_text() == "kept\n" and not (tmp_path / "no-such").exists()
+
+
+@pytest.mark.parametrize("lines, message", [
+    (None, "--config: cannot read config file"),
+    ("trials\n", "--config: line 1 is not key=value"),
+    ("# fine\ntrials=2\nn 3\n", "--config: line 3 is not key=value"),
+    ("run=x\n", "--config: unknown key 'run'"),
+    ("cmd=freq\n", "--config: unknown key 'cmd'"),
+    ("config=other.cfg\n", "--config: unknown key 'config'"),
+])
+def test_bad_config_file_is_one_named_config_error(lines, message, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    if lines is not None:
+        cfg.write_text(lines)
+    assert main(["hmc-awgn", "--seed", "7", "--trials", "2", "--n", "4", "--config",
+                 str(cfg)]) == 1
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("config error:")]
+    assert len(errors) == 1 and errors[0].startswith("config error: " + message)
+
+
 def test_size_bound_admits_defaults_and_criterion_7():
     from trellis.experiments import (FREQ_METHODS, ExperimentConfig, check_experiment,
                                      check_freq_experiment)

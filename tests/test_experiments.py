@@ -194,3 +194,16 @@ def test_map_chunks_caps_the_pool(jobs, trials, cpus, workers, monkeypatch):
     got = experiments._map_chunks(lambda point, t0, t1: (point, t0, t1), "p", trials, 1, jobs)
     assert got == [("p", t, t + 1) for t in range(trials)]
     assert _RecordingPool.sizes == ([] if workers is None else [workers])
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (ExperimentConfig(scenario="x", seed=1), "scenario must be 'awgn' or 'fading'"),
+    (ExperimentConfig(scenario="fading", K=2, seed=1), "fading needs rho"),
+])
+def test_run_experiment_rejects_a_bad_point_before_it_runs(cfg, message, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a chunk ran")
+
+    monkeypatch.setattr(experiments, "_map_chunks", no_run)
+    with pytest.raises(ValueError, match=message):
+        run_experiment(cfg)

@@ -98,6 +98,10 @@ def test_invalid_arguments():
     if model.n >= 2:
         with pytest.raises(ValueError):
             fb_reduce_single(model, sr, frozenset(), i=model.n)
+    with pytest.raises(ValueError, match="outside the universe"):
+        fb_reduce_sequential(model, sr, [{model.space.m + 1}])
+    with pytest.raises(ValueError, match="mode must be"):
+        count_operators(model, model.universe, mode="x")
 
 
 def test_naive_guard():
@@ -283,6 +287,12 @@ def test_dual_entropy_validation():
     bad.factors[0].table *= 2.0
     with pytest.raises(ValueError):
         dual_entropy(bad, bad)
+    with pytest.raises(ValueError, match="factor counts differ"):
+        dual_entropy(f, _normalized_chain(rng, 4, 2))
+    negative = _normalized_chain(rng, 3, 2)
+    negative.factors[1].table[0, 0] = -0.5
+    with pytest.raises(ValueError, match="non-negative"):
+        dual_entropy(negative, negative)
 
 
 def test_dual_entropy_zero_in_reference():

@@ -125,6 +125,24 @@ def test_posterior_chain_factors_are_the_posterior_conditionals():
             assert_allclose(sm.gamma[i + 1] @ chain.A[i], sm.gamma[i], atol=1e-10)
 
 
+@pytest.mark.parametrize("n", [1, 2, 9])
+def test_posterior_chain_factors_equal_the_per_step_formula(n):
+    # the one array pass keeps each step's bits, zeros in T included
+    rng = np.random.default_rng(107 + n)
+    for _ in range(30):
+        M = int(rng.integers(2, 6))
+        T = rng.random((M, M)) * (rng.random((M, M)) < 0.6) + np.eye(M)
+        model = HmcModel(T / T.sum(axis=0), np.full(M, 1.0 / M), rng.random((n, M)) + 1e-3)
+        sm = fb_algorithm(model)
+        chain = posterior_chain_factors(model, sm)
+        assert chain.A.shape == chain.B.shape == (n - 1, M, M)
+        for i in range(n - 1):
+            a = model.T * sm.alpha[i][None, :]
+            b = (model.Psi[i + 1] * sm.beta[i + 1])[:, None] * model.T
+            assert chain.A[i].tobytes() == (a / a.sum(axis=1, keepdims=True)).tobytes()
+            assert chain.B[i].tobytes() == (b / b.sum(axis=0, keepdims=True)).tobytes()
+
+
 def test_degenerate_observation():
     T = np.full((2, 2), 0.5)
     p = np.array([1.0, 0.0])
@@ -151,6 +169,8 @@ def test_model_validation():
         HmcModel(np.ones((2, 3)), p, Psi)
     with pytest.raises(ValueError):
         HmcModel(T, np.array([0.3, 0.3]), Psi)
+    with pytest.raises(ValueError, match="p length"):
+        HmcModel(T, np.array([0.3, 0.3, 0.4]), Psi)
     with pytest.raises(ValueError):
         HmcModel(T * 1.2, p, Psi)
     with pytest.raises(ValueError):

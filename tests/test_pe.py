@@ -5,7 +5,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from trellis.numerics import adaptive_simpson_2d
-from trellis.pe import PE_NORM, pe_approximate, pe_logpdf, pe_model, pe_tvb, pe_vb
+from trellis.pe import (PE_NORM, _coordinate_ascent, pe_approximate, pe_logpdf, pe_model,
+                        pe_tvb, pe_vb)
 
 
 def test_model_validation():
@@ -80,3 +81,16 @@ def test_transformed_divergence_dominates(method):
 def test_vb_divergence_grows_with_correlation():
     k = [pe_approximate(pe_model(r), "vb")[1] for r in (0.0, 0.4, 0.8)]
     assert k[0] < k[1] < k[2]
+
+
+def test_coordinate_ascent_raises_when_the_statistics_never_settle():
+    # both statistics flip sign at every sweep: a two-cycle
+    calls = []
+
+    def oscillating(i, other):
+        calls.append(i)
+        return None, (-1.0) ** (len(calls) // 2)
+
+    with pytest.raises(RuntimeError, match="did not settle in 4 sweeps"):
+        _coordinate_ascent(oscillating, np.zeros(2), 4, 1e-12)
+    assert calls == [0, 1] * 4

@@ -67,6 +67,9 @@ def test_run_input_validation():
         fcvb_run(model, [1, 2])
     with pytest.raises(ValueError):
         fcvb_run(model, [1, 2, 3])
+    sm, chain = _kld_pieces(model)
+    with pytest.raises(ValueError, match="p must be n x M"):
+        kld_vb(model, sm, chain, np.full((2, 2), 0.5))
 
 
 def test_uniform_transitions_converge_to_pointwise():
